@@ -25,8 +25,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .counting import batched_ln_counts
-from .source_model import Pattern, SourceDist, batch_letters, derive_seed
+from .counting import _float_counts, batched_ln_counts
+from .moments import log_binomial
+from .simulation import BATCH_SIZE
+from .source_model import Pattern, SourceDist, _sample_indices, batch_letters, derive_seed
 
 # exact enumeration walks all 2^n inputs and their 2^n subsets
 ENUM_N_LIMIT = 12
@@ -169,12 +171,9 @@ def mc_count_moment(
     z_sq = 0.0
     zl_sum = 0.0
     zl_sq = 0.0
-    batch = 4096
-    for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        seeds = [derive_seed(master_seed, t) for t in range(lo, hi)]
-        letters = batch_letters(dist, n, seeds)
-        lnz = batched_ln_counts(letters, pattern.word)
+    for lo in range(0, trials, BATCH_SIZE):
+        seeds = [derive_seed(master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, trials))]
+        lnz = batched_ln_counts(batch_letters(dist, n, seeds), pattern.word)
         finite = np.isfinite(lnz)
         z = np.where(finite, np.exp(lnz), 0.0)
         zl = z * np.where(finite, lnz, 0.0)
@@ -210,36 +209,35 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
     P(z) = E[Z(z)] d^(n-|z|) (1-d)^|z|, the deletion weights cancel in
     the information density, leaving ln Z_x(z) - ln E[Z(z)] per sampled
     pair.  Each trial costs one count DP, so this route has no n cap.
+    Trial t draws its input, then its deletion mask, from its own stream;
+    BATCH_SIZE trials share one kernel call, one output word per row.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    from .counting import count_subsequences
-    from .moments import log_binomial
-    from .source_model import Text
-
     n = cfg.n
+    ln_p = [math.log(p) for p in cfg.dist.probs]
     total = 0.0
     total_sq = 0.0
-    for t in range(trials):
-        gen = np.random.Generator(np.random.PCG64(derive_seed(master_seed, t)))
-        letters = _sample_letters(cfg.dist, n, gen)
-        kept = letters[gen.random(n) >= cfg.d]
-        if kept.size == 0:
-            continue  # empty output carries zero information density
-        pat = Pattern.from_indices(cfg.dist, (int(v) for v in kept))
-        ln_z = count_subsequences(Text(letters, cfg.dist.alphabet), pat, mode="float").log_value.ln_value()
-        ln_ez = log_binomial(n, kept.size).ln_value() + pat.log_pw
-        val = ln_z - ln_ez
-        total += val
-        total_sq += val * val
+    for lo in range(0, trials, BATCH_SIZE):
+        inputs, outputs = [], []
+        for t in range(lo, min(lo + BATCH_SIZE, trials)):
+            gen = np.random.Generator(np.random.PCG64(derive_seed(master_seed, t)))
+            inputs.append(_sample_indices(cfg.dist, n, gen))
+            outputs.append(inputs[-1][gen.random(n) >= cfg.d])
+        words = np.full((len(outputs), max(y.size for y in outputs)), -1, dtype=np.int8)
+        for row, y in enumerate(outputs):
+            words[row, : y.size] = y
+        z, shift = _float_counts(np.stack(inputs), words)
+        for row, y in enumerate(outputs):
+            if y.size:  # an empty output carries zero information density
+                # ln E[Z] = ln C(n, |y|) + ln p_y, the letter logs summed in word order
+                ln_ez = log_binomial(n, y.size).ln_value() + sum(ln_p[j] for j in y.tolist())
+                val = (math.log(z[row]) + float(shift[row])) - ln_ez
+                total += val
+                total_sq += val * val
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     return McMutualInformation(trials, mean, math.sqrt(var / trials))
-
-
-def _sample_letters(dist: SourceDist, n: int, gen: np.random.Generator) -> np.ndarray:
-    probs = np.asarray(dist.probs)
-    return np.searchsorted(np.cumsum(probs), gen.random(n), side="right").astype(np.int8)
 
 
 def nats_to_bits(value: float) -> float:

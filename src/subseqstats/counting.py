@@ -7,6 +7,12 @@ doubles with periodic rescaling so only the log of the count is trusted.
 A subset-enumeration brute force serves as an independent oracle for
 small instances, and constant patterns reduce to a binomial of the
 letter count.
+
+Every float count, batched, scalar (a batch of one) or deletion-channel
+(one word per row), runs one kernel, ``_float_counts``.  Its state is
+time-major, (m + 1, batch), and each text position is one vector update
+``state[1:] += state[:-1] * hit[t]``, with ``hit`` a bool buffer filled
+per block of _BLOCK positions from a transposed copy of that block only.
 """
 
 from __future__ import annotations
@@ -22,10 +28,14 @@ from .source_model import Pattern, Text
 # instances with C(n, m) above this are rejected by the brute-force oracle
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# float DP rescales whenever a state entry exceeds this
+# the float kernel rescales a row whose largest state entry exceeds this,
+# checked after every full block of _BLOCK text positions
 _RESCALE_LIMIT = 1e300
 _RESCALE_FACTOR = 1e-280
 _RESCALE_LN = math.log(1e280)
+_BLOCK = 16
+# rows run in tiles of about this many state entries, which stay in cache
+_TILE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,54 +58,31 @@ def _check_compatible(text: Text, pattern: Pattern) -> None:
         raise ValueError("text letter index out of pattern alphabet range")
 
 
-def _positions_by_letter(word: tuple[int, ...]):
-    """Pattern slots grouped by letter, each group in descending slot order.
-
-    Descending order lets the in-place DP update read the previous
-    state of slot j-1 before it is touched in the same step.
-    """
-    by = {}
-    for j in range(len(word), 0, -1):
-        by.setdefault(word[j - 1], []).append(j)
-    return by
-
-
 def count_subsequences(text: Text, pattern: Pattern, mode: str = "exact") -> CountValue:
     """Count occurrences of the pattern as a subsequence of the text.
 
-    mode "exact" uses big integers; mode "float" runs in doubles with
-    rescaling and reports only the log of the count.
+    mode "exact" uses big integers; mode "float" runs the batched float
+    kernel on a batch of one and reports only the log of the count.
     """
     _check_compatible(text, pattern)
     m = pattern.length
     if mode == "exact":
         state = [0] * (m + 1)
         state[0] = 1
-        by = _positions_by_letter(pattern.word)
+        # slots by letter, descending, so slot j reads slot j-1 before it changes
+        by: dict[int, list[int]] = {}
+        for j in range(m, 0, -1):
+            by.setdefault(pattern.word[j - 1], []).append(j)
         for x in text.letters.tolist():
-            js = by.get(x)
-            if js:
-                for j in js:
-                    state[j] += state[j - 1]
+            for j in by.get(x, ()):
+                state[j] += state[j - 1]
         z = state[m]
         return CountValue(z, LogNum.from_int(z))
     if mode == "float":
-        state = [0.0] * (m + 1)
-        state[0] = 1.0
-        shift = 0.0
-        by = _positions_by_letter(pattern.word)
-        for step, x in enumerate(text.letters.tolist()):
-            js = by.get(x)
-            if js:
-                for j in js:
-                    state[j] += state[j - 1]
-            if (step & 31) == 31 and max(state) > _RESCALE_LIMIT:
-                state = [v * _RESCALE_FACTOR for v in state]
-                shift += _RESCALE_LN
-        z = state[m]
-        if z == 0.0:
+        z, shift = _float_counts(text.letters[None, :], pattern.word)
+        if z[0] == 0.0:
             return CountValue(None, LogNum.zero())
-        return CountValue(None, LogNum.from_ln(math.log(z) + shift))
+        return CountValue(None, LogNum.from_ln(math.log(z[0]) + float(shift[0])))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -131,31 +118,69 @@ def constant_pattern_count(text: Text, symbol: int, m: int) -> CountValue:
     return CountValue(z, LogNum.from_int(z))
 
 
+def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled float counts of a word in every row of a (batch, n) letter array.
+
+    ``word`` is one word for every row, or a (batch, m_max) matrix of
+    per-row words right-padded with -1; letters lie in [0, 127].  Returns
+    (z, shift), count = z * e^shift, z == 0.0 exactly for a zero count.
+    A row's bits depend on its own text and word only.
+    """
+    if texts.ndim != 2:
+        raise ValueError(f"texts must be a (batch, n) array, got shape {texts.shape}")
+    if texts.size and texts.min() < 0:
+        raise ValueError("text letter indices must be nonnegative")
+    batch = texts.shape[0]
+    w = np.asarray(word, dtype=np.int64)
+    shared = w.ndim == 1
+    if shared:
+        w = w[None, :]
+    elif w.ndim != 2 or w.shape[0] != batch:
+        raise ValueError(f"word shape {w.shape} is neither one word nor one row per text ({batch})")
+    ends = (w >= 0).sum(axis=1)
+    if w.size and (
+        w.min() < (0 if shared else -1)
+        or w.max() > 127
+        or not np.array_equal(w >= 0, np.arange(w.shape[1]) < ends[:, None])
+    ):
+        raise ValueError("word letters must lie in [0, 127]; matrix rows are padded with -1")
+    cols = np.broadcast_to(np.ascontiguousarray(w.T, dtype=np.int8), (w.shape[1], batch))
+    ends = np.broadcast_to(ends, batch)
+    z, shift = np.empty(batch), np.empty(batch)
+    width = max(1, _TILE_CELLS // (cols.shape[0] + 1))
+    for lo in range(0, batch, width):
+        tile = slice(lo, lo + width)
+        z[tile], shift[tile] = _recurrence(texts[tile], cols[:, tile], ends[tile])
+    return z, shift
+
+
+def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
+    """One tile of rows of _float_counts, on buffers sized for that tile."""
+    (batch, n), m = texts.shape, len(cols)
+    state = np.zeros((m + 1, batch))
+    state[0] = 1.0
+    shift = np.zeros(batch)
+    tmp = np.empty((m, batch))
+    hit = np.empty((_BLOCK, m, batch), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
+        np.equal(block[:, None, :], cols, out=hit[: len(block)])
+        for t in range(len(block)):
+            np.multiply(state[:-1], hit[t], out=tmp)
+            state[1:] += tmp
+        if len(block) == _BLOCK:
+            hot = state.max(axis=0) > _RESCALE_LIMIT
+            if hot.any():
+                state[:, hot] *= _RESCALE_FACTOR
+                shift[hot] += _RESCALE_LN
+    return state[ends, np.arange(batch)], shift
+
+
 def batched_ln_counts(texts: np.ndarray, word) -> np.ndarray:
     """log occurrence counts for a stack of texts, -inf where the count is 0.
 
-    ``texts`` is a (batch, n) integer array; the recurrence is vectorized
-    across the batch with per-row rescaling, so results are identical
-    however the rows are grouped.
+    ``texts`` is a (batch, n) integer array; see _float_counts.
     """
-    word = tuple(int(j) for j in word)
-    mm = len(word)
-    batch, n = texts.shape
-    state = np.zeros((batch, mm + 1))
-    state[:, 0] = 1.0
-    shift = np.zeros(batch)
-    letters_used = sorted(set(word))
-    for i in range(n):
-        col = texts[:, i]
-        eq = {a: (col == a).astype(np.float64) for a in letters_used}
-        for j in range(mm, 0, -1):
-            state[:, j] += state[:, j - 1] * eq[word[j - 1]]
-        if (i & 15) == 15:
-            mx = state.max(axis=1)
-            hot = mx > _RESCALE_LIMIT
-            if hot.any():
-                state[hot] *= _RESCALE_FACTOR
-                shift[hot] += _RESCALE_LN
+    z, shift = _float_counts(texts, word)
     with np.errstate(divide="ignore"):
-        lnz = np.log(state[:, mm])
-    return lnz + shift
+        return np.log(z) + shift

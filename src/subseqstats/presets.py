@@ -107,16 +107,22 @@ def _normal_gate_suite(summaries, mean_tol=0.005, var_tol=0.05, need_pass=4):
     ]
 
 
+def _normal_runs(dist, n, trials, seed_specs, workers, out_dir, standardization="theoretical"):
+    """Collect ln Z and summarize the normal route for each (seed, pattern spec)."""
+    summaries = []
+    for seed, spec in seed_specs:
+        cfg = ExperimentConfig(dist, spec, n, trials, seed, "normal", standardization)
+        pat = spec.resolve(dist)
+        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
+        summaries.append(summarize_normal(cfg, pat, collect_ln_counts(cfg, pat, workers), sub))
+    return summaries
+
+
 def preset_t2a_normal(out_dir=None, workers=1, trials=100_000, seeds=T2A_SEEDS):
     """CLT for w = aba over a uniform binary source at n = 2000."""
     dist = SourceDist(_BINARY, (0.5, 0.5))
     spec = PatternSpec.explicit((0, 1, 0))
-    summaries = []
-    for seed in seeds:
-        cfg = ExperimentConfig(dist, spec, 2000, trials, seed, "normal")
-        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        pat = spec.resolve(dist)
-        summaries.append(summarize_normal(cfg, pat, collect_ln_counts(cfg, pat, workers), sub))
+    summaries = _normal_runs(dist, 2000, trials, [(s, spec) for s in seeds], workers, out_dir)
     return PresetReport(
         name="t2a_normal",
         params={"n": 2000, "pattern": "aba", "probs": [0.5, 0.5], "trials": trials, "seeds": list(seeds)},
@@ -135,12 +141,7 @@ def preset_tka_skewed(out_dir=None, workers=1, trials=100_000, seeds=DEFAULT_SEE
     """
     dist = SourceDist(_BINARY, (0.7, 0.3))
     spec = PatternSpec.explicit((0,) * 20 + (1,) * 20)
-    summaries = []
-    for seed in seeds:
-        cfg = ExperimentConfig(dist, spec, 4000, trials, seed, "normal")
-        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        pat = spec.resolve(dist)
-        summaries.append(summarize_normal(cfg, pat, collect_ln_counts(cfg, pat, workers), sub))
+    summaries = _normal_runs(dist, 4000, trials, [(s, spec) for s in seeds], workers, out_dir)
     return PresetReport(
         name="tka_skewed",
         params={"n": 4000, "pattern": "a^20 b^20", "probs": [0.7, 0.3], "trials": trials, "seeds": list(seeds)},
@@ -309,15 +310,8 @@ def preset_cor_random_normal(out_dir=None, workers=1, trials=5000, seeds=DEFAULT
     stand-in.
     """
     dist = SourceDist(_BINARY, (0.5, 0.5))
-    summaries = []
-    for seed in seeds:
-        spec = PatternSpec.random(12, seed)
-        cfg = ExperimentConfig(
-            dist, spec, 12_000, trials, seed, "normal", standardization="empirical"
-        )
-        pat = spec.resolve(dist)
-        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        summaries.append(summarize_normal(cfg, pat, collect_ln_counts(cfg, pat, workers), sub))
+    seed_specs = [(s, PatternSpec.random(12, s)) for s in seeds]
+    summaries = _normal_runs(dist, 12_000, trials, seed_specs, workers, out_dir, "empirical")
     ks_passes = sum(1 for s in summaries if s.pass_normality)
     worst_var = max(abs(s.var_rel_err) for s in summaries)
     gates = [

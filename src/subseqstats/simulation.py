@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,31 +150,10 @@ class SimSummary:
     pass_normality: bool
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if x is None or (isinstance(x, float) and not math.isfinite(x)):
-                return None
-            return x
-
+        """Fields by name; non-finite floats become None (JSON null)."""
         return {
-            "regime": self.regime,
-            "n": self.n,
-            "m": self.m,
-            "pattern": self.pattern,
-            "standardization": self.standardization,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "trials_used": self.trials_used,
-            "trials_skipped_zero": self.trials_skipped_zero,
-            "skips_conforming": self.skips_conforming,
-            "emp_mean": clean(self.emp_mean),
-            "emp_var": clean(self.emp_var),
-            "skewness": clean(self.skewness),
-            "excess_kurtosis": clean(self.excess_kurtosis),
-            "ks_stat": clean(self.ks_stat),
-            "ks_critical_5pct": self.ks_critical_5pct,
-            "mean_rel_err": clean(self.mean_rel_err),
-            "var_rel_err": clean(self.var_rel_err),
-            "pass_normality": self.pass_normality,
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(self).items()
         }
 
 

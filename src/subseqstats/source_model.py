@@ -50,6 +50,8 @@ class Alphabet:
             raise ValueError("symbols must be single characters")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbols must be distinct")
+        if len(self.symbols) > 127:
+            raise ValueError("alphabet has more than 127 symbols; letters are int8 indices")
 
     @classmethod
     def from_string(cls, s: str) -> "Alphabet":
@@ -174,7 +176,9 @@ class Text:
     alphabet: Alphabet | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.letters, dtype=np.int8)
+        arr = np.asarray(self.letters).astype(np.int8, copy=False)
+        if not np.array_equal(arr, self.letters):
+            raise ValueError("letter indices must be integers that fit int8")
         if arr.ndim != 1:
             raise ValueError("letters must be one-dimensional")
         if arr.size and arr.min() < 0:

@@ -8,6 +8,7 @@ import pytest
 from conftest import AB, binary_dist, make_pattern, make_text, random_binary_text
 from subseqstats.counting import (
     BRUTE_FORCE_LIMIT,
+    _float_counts,
     batched_ln_counts,
     brute_force_count,
     constant_pattern_count,
@@ -160,6 +161,32 @@ def test_batched_ln_counts_matches_scalar(dist):
             assert got[k] == -math.inf
         else:
             assert got[k] == pytest.approx(math.log(want.exact), rel=1e-10)
+
+
+def test_kernel_rejects_texts_that_are_not_2d():
+    with pytest.raises(ValueError, match="batch, n"):
+        batched_ln_counts(np.zeros(10, dtype=np.int8), (0, 1))
+    with pytest.raises(ValueError, match="batch, n"):
+        batched_ln_counts(np.zeros((2, 3, 4), dtype=np.int8), (0, 1))
+
+
+@pytest.mark.parametrize("word", [(0, -1), (0, 128), (300,)])
+def test_kernel_rejects_word_letters_outside_int8_range(word):
+    # -1 is the padding sentinel of a word matrix and never a letter
+    with pytest.raises(ValueError, match="127"):
+        batched_ln_counts(np.zeros((2, 5), dtype=np.int8), word)
+
+
+def test_kernel_rejects_word_matrix_with_wrong_row_count():
+    with pytest.raises(ValueError, match=r"shape \(3, 2\).*one row per text \(2\)"):
+        _float_counts(np.zeros((2, 5), dtype=np.int8), np.zeros((3, 2), dtype=np.int8))
+
+
+def test_kernel_rejects_padding_inside_a_word_and_negative_letters():
+    with pytest.raises(ValueError, match="padded with -1"):
+        _float_counts(np.zeros((1, 5), dtype=np.int8), np.array([[0, -1, 1]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _float_counts(np.array([[0, -1, 1]]), np.array([[0, -1, -1]]))
 
 
 def test_pattern_longer_than_text(dist):

@@ -1,0 +1,114 @@
+"""Frozen SHA-256 digests of seeded outputs.
+
+Every case is a small pinned run whose output files (or stdout, for
+``channel-mi``) must stay byte-identical across refactors of the letter
+sampler, the count kernel and the summaries.  A change that alters one
+of these digests changes program output; it re-pins the digest and says
+why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from subseqstats.cli import main
+from subseqstats.presets import run_preset
+from subseqstats.simulation import ExperimentConfig, PatternSpec, run_normal_experiment
+from subseqstats.source_model import Alphabet, SourceDist
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _simulate(out, *argv):
+    assert main(["simulate", *argv, "--out", str(out)]) == 0
+
+
+def _random_pattern(out):
+    dist = SourceDist(Alphabet.from_string("abc"), (0.5, 0.3, 0.2))
+    cfg = ExperimentConfig(dist, PatternSpec.random(12, 77), 1500, 3000, 5, "normal")
+    run_normal_experiment(cfg, out_dir=out)
+
+
+# name -> run writing samples.csv and summary.json into the given directory
+SIMULATE_CASES = {
+    "normal_aba": lambda out: _simulate(
+        out, "--n", "2000", "--pattern", "aba", "--probs", "0.5,0.5",
+        "--trials", "3000", "--seed", "11", "--regime", "normal",
+    ),
+    "lognormal_const": lambda out: _simulate(
+        out, "--n", "2000", "--pattern", "const:a,30", "--probs", "0.5,0.5",
+        "--trials", "3000", "--seed", "12", "--regime", "lognormal",
+    ),
+    "random_pattern": _random_pattern,
+    "empirical_block": lambda out: _simulate(
+        out, "--n", "1000", "--pattern", "aaaaabbbbb", "--probs", "0.7,0.3",
+        "--trials", "2000", "--seed", "13", "--regime", "normal",
+        "--standardization", "empirical",
+    ),
+    # counts near e^840 pass the 1e300 rescale many times per row
+    "rescaled_alt200": lambda out: _simulate(
+        out, "--n", "10000", "--pattern", "alt:200", "--probs", "0.5,0.5",
+        "--trials", "64", "--seed", "14", "--regime", "normal",
+    ),
+}
+
+SIMULATE_DIGESTS = {
+    "normal_aba": (
+        "0c20cfc6a13152e5fd47a4b4d350772b17fe96b5dce7c48577fe3e6a47d1f0b0",
+        "1fa946b3c0adda8494e15087e692f159e3a21bf6928bf3487d5588cbdd19ece3",
+    ),
+    "lognormal_const": (
+        "e745015af38081fafc9d589ff6df0c23c93e79d18f3775420013e85fe451466c",
+        "fe6bb830f687b88670937a6a279c2e93239b9abc98d46565fac3326a75bfb7c4",
+    ),
+    "random_pattern": (
+        "3a5267ad45b802c7308736bf8434a0a36c34069ec34ca6b0c8ae8da0fc426eda",
+        "2fe93f1418e0eeca36d330a0ada1ca80cc90809989d5feb4239bf506aac520b0",
+    ),
+    "empirical_block": (
+        "89096f18eb9312377583cdfddb96573a6c29ebf845d77dfcd063bede6acf0bad",
+        "ed9f8d0243257ffc51d2bd65bf2657057c7047b31bffdd6b5352aabfacccb8d8",
+    ),
+    "rescaled_alt200": (
+        "969d1b9af1634831ced3fdd5dada60498fcf53c1a5bffbd3b24cc408d0bef322",
+        "9b8e0e2b2914ecf02e7c8e14591d69e03ddb2aec94c36c173b9dfa214f0bc2ff",
+    ),
+}
+
+CHANNEL_CASES = {
+    "uniform": "--n 200 --d 0.3 --probs 0.5,0.5 --trials 600 --seed 21".split(),
+    "skewed": "--n 120 --d 0.6 --probs 0.7,0.3 --trials 600 --seed 22".split(),
+}
+
+CHANNEL_DIGESTS = {
+    "uniform": "e7115999239c2388101e09370094c92c0f63b5628c2a0f03409ae9d091d848ea",
+    "skewed": "672bc6fac42a6ecbf656b2de932fdce03b68cfb5b284f8e0c26e521d3e34a69d",
+}
+
+
+# report.json and each seed's samples.csv of a short t2a_normal run, in path order
+PRESET_DIGEST = "c1be3513d7383f1db7d964f542c0ab767c5db99d9421b31d67ce5128c5c915a8"
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+def test_simulate_digests(name, tmp_path, capsys):
+    SIMULATE_CASES[name](tmp_path)
+    capsys.readouterr()
+    got = tuple(_sha((tmp_path / f).read_bytes()) for f in ("samples.csv", "summary.json"))
+    assert got == SIMULATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_CASES))
+def test_channel_mc_stdout_digest(name, capsys):
+    capsys.readouterr()
+    assert main(["channel-mi", "--method", "mc", *CHANNEL_CASES[name]]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == CHANNEL_DIGESTS[name]
+
+
+def test_preset_report_digest(tmp_path):
+    run_preset("t2a_normal", out_dir=tmp_path, trials=1500)
+    files = [tmp_path / "report.json", *sorted(tmp_path.glob("seed_*/samples.csv"))]
+    assert len(files) == 6
+    assert _sha(b"".join(f.read_bytes() for f in files)) == PRESET_DIGEST

@@ -100,6 +100,21 @@ def test_text_immutable_and_validated():
         Text.from_string("abz", AB)
 
 
+def test_text_rejects_indices_that_do_not_fit_int8():
+    # 256 would wrap to 0 and -129 to 127 under a plain int8 cast
+    for bad in ([0, 1, 256], [0, 1, -129], [0, 1.5]):
+        with pytest.raises(ValueError, match="int8"):
+            Text(np.array(bad))
+    assert Text(np.array([0, 1, 127])).letters.tolist() == [0, 1, 127]
+
+
+def test_alphabet_rejects_more_than_127_symbols():
+    symbols = tuple(chr(0x100 + k) for k in range(128))
+    with pytest.raises(ValueError, match="127"):
+        Alphabet(symbols)
+    assert Alphabet(symbols[:127]).size == 127
+
+
 def test_derive_seed_spread_and_determinism():
     seeds = {derive_seed(12345, t) for t in range(10_000)}
     assert len(seeds) == 10_000
