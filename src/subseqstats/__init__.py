@@ -11,7 +11,6 @@ from .decomposition import DecompositionReport, decompose, identity_checks, v_le
 from .lognum import LogNum
 from .moments import (
     MomentReport,
-    alternating_tau,
     expected_count,
     expected_count_exact,
     moment_report,
@@ -42,7 +41,6 @@ __all__ = [
     "SimSummary",
     "SourceDist",
     "Text",
-    "alternating_tau",
     "brute_force_count",
     "constant_pattern_count",
     "count_subsequences",

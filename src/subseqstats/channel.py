@@ -25,10 +25,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .counting import _float_counts, batched_ln_counts
+from .counting import _float_counts
 from .moments import log_binomial
-from .simulation import BATCH_SIZE
-from .source_model import Pattern, SourceDist, _sample_indices, batch_letters, derive_seed
+from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, collect_ln_counts
+from .source_model import Pattern, SourceDist, _letter_sampler, derive_seed
 
 # exact enumeration walks all 2^n inputs and their 2^n subsets
 ENUM_N_LIMIT = 12
@@ -158,33 +158,21 @@ def mc_count_moment(
 ) -> McMoments:
     """Estimate the two count moments by sampling texts.
 
-    Meant for moderate n where the moments fit doubles; the per-trial
-    seeding matches the simulation engine, so estimates are reproducible
-    for a fixed master seed.
+    Meant for moderate n where the moments fit doubles.  The counts come
+    from ``simulation.collect_ln_counts``, so trial t sees the same text
+    as in every other experiment with this master seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    cfg = ExperimentConfig(dist, PatternSpec.explicit(pattern.word), n, trials, master_seed, "normal")
     if n < pattern.length:
         # every text gives Z = 0
         return McMoments(trials, 0.0, -math.inf, 0.0, 0.0, 0.0)
-    z_sum = 0.0
-    z_sq = 0.0
-    zl_sum = 0.0
-    zl_sq = 0.0
-    for lo in range(0, trials, BATCH_SIZE):
-        seeds = [derive_seed(master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, trials))]
-        lnz = batched_ln_counts(batch_letters(dist, n, seeds), pattern.word)
-        finite = np.isfinite(lnz)
-        z = np.where(finite, np.exp(lnz), 0.0)
-        zl = z * np.where(finite, lnz, 0.0)
-        z_sum += float(z.sum())
-        z_sq += float((z * z).sum())
-        zl_sum += float(zl.sum())
-        zl_sq += float((zl * zl).sum())
-    mean_z = z_sum / trials
-    mean_zl = zl_sum / trials
-    var_z = max(z_sq / trials - mean_z**2, 0.0)
-    var_zl = max(zl_sq / trials - mean_zl**2, 0.0)
+    lnz = collect_ln_counts(cfg, pattern)
+    z = np.exp(lnz)  # a zero count has ln Z = -inf and gives z = 0
+    zl = z * np.where(np.isfinite(lnz), lnz, 0.0)
+    mean_z = float(z.sum()) / trials
+    mean_zl = float(zl.sum()) / trials
+    var_z = max(float((z * z).sum()) / trials - mean_z**2, 0.0)
+    var_zl = max(float((zl * zl).sum()) / trials - mean_zl**2, 0.0)
     return McMoments(
         trials=trials,
         e_z=mean_z,
@@ -216,13 +204,14 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
         raise ValueError("trials must be at least 1")
     n = cfg.n
     ln_p = [math.log(p) for p in cfg.dist.probs]
+    draw = _letter_sampler(cfg.dist)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, trials, BATCH_SIZE):
         inputs, outputs = [], []
         for t in range(lo, min(lo + BATCH_SIZE, trials)):
             gen = np.random.Generator(np.random.PCG64(derive_seed(master_seed, t)))
-            inputs.append(_sample_indices(cfg.dist, n, gen))
+            inputs.append(draw(gen, n))
             outputs.append(inputs[-1][gen.random(n) >= cfg.d])
         words = np.full((len(outputs), max(y.size for y in outputs)), -1, dtype=np.int8)
         for row, y in enumerate(outputs):

@@ -3,8 +3,9 @@
 Six subcommands: ``count``, ``moments``, ``decompose``, ``simulate``,
 ``channel-mi``, ``preset``.  Every invocation validates its inputs
 before doing work, prints exactly one JSON document on stdout, and logs
-to stderr.  Stochastic subcommands require an explicit ``--seed``;
-``--workers`` never changes output bytes.  Exit status is 0 on success,
+to stderr.  Stochastic subcommands require an explicit ``--seed``.
+Trials run on one thread; ``--workers`` is accepted for compatibility and
+has no effect.  Exit status is 0 on success,
 1 when a preset gate fails, 2 on invalid input.
 
 Conventions: probabilities parse as decimals and are re-rationalized
@@ -192,9 +193,9 @@ def _cmd_simulate(args) -> int:
     )
     out = Path(args.out)
     if regime == "normal":
-        summary = run_normal_experiment(cfg, workers=args.workers, out_dir=out)
+        summary = run_normal_experiment(cfg, out_dir=out)
     else:
-        summary = run_lognormal_experiment(cfg, workers=args.workers, out_dir=out)
+        summary = run_lognormal_experiment(cfg, out_dir=out)
     _emit(summary.to_dict())
     return 0
 
@@ -227,8 +228,8 @@ def _cmd_preset(args) -> int:
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
-    log.info("preset %s starting (workers=%d)", args.name, args.workers)
-    report = run_preset(args.name, out_dir=args.out, workers=args.workers, **overrides)
+    log.info("preset %s starting", args.name)
+    report = run_preset(args.name, out_dir=args.out, **overrides)
     for gate in report.gates:
         log.info(
             "gate %-45s value=%-12.6g threshold=%-10.6g %s",
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--standardization", choices=("theoretical", "empirical"), default="theoretical"
     )
     p.add_argument("--out", required=True, help="directory for samples.csv + summary.json")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; trials run on one thread")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("channel-mi", help="deletion-channel mutual information")
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="run a named gated experiment")
     p.add_argument("--name", required=True, choices=sorted(PRESETS))
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; trials run on one thread")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
     p.set_defaults(fn=_cmd_preset)
 

@@ -74,23 +74,14 @@ def expected_count_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction
     return math.comb(n, pattern.length) * pw
 
 
-def _check_ij(i: int, j: int, n: int, m: int) -> None:
+def coeff_c_exact(i: int, j: int, n: int, m: int) -> int:
+    """Number of occurrence slots pairing text position i with pattern slot j."""
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
     if not (1 <= i <= n):
         raise ValueError("text position i out of range")
     if not (1 <= j <= m):
         raise ValueError("pattern position j out of range")
-
-
-def coeff_c(i: int, j: int, n: int, m: int) -> LogNum:
-    """Number of occurrence slots pairing text position i with pattern slot j."""
-    _check_ij(i, j, n, m)
-    return log_binomial(i - 1, j - 1) * log_binomial(n - i, m - j)
-
-
-def coeff_c_exact(i: int, j: int, n: int, m: int) -> int:
-    _check_ij(i, j, n, m)
     return binomial_exact(i - 1, j - 1) * binomial_exact(n - i, m - j)
 
 
@@ -277,10 +268,6 @@ def alternating_tau_int(i: int, n: int, m: int) -> int:
         total += sign * coeff_c_exact(i, j, n, m)
         sign = -sign
     return total
-
-
-def alternating_tau(i: int, n: int, m: int) -> LogNum:
-    return LogNum.from_int(alternating_tau_int(i, n, m))
 
 
 def hg_sign_bias(n: int, k: int, l: int) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 """Named experiment presets with pass/fail gates.
 
 Each preset expands to a fully specified experiment or sweep, runs it,
-and reports one boolean per gate.  Gate thresholds and the fixed master
-seed tuples are frozen here: a preset run is deterministic end to end,
-so a gate's outcome never flips between CI runs.  Seed tuples were
+and reports one boolean per gate.  The Monte Carlo presets are rows of
+``TRIAL_PRESETS``, all run by one per-seed loop.  Gate thresholds and
+the fixed master seed tuples are frozen here: a preset run is
+deterministic end to end, so a gate's outcome never flips between CI
+runs.  Seed tuples were
 pinned after verifying the gate margins for configurations whose
 population-level distance to the normal limit sits below the KS critical
 value; configurations where that distance exceeds the critical value
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -95,122 +99,142 @@ class PresetReport:
         )
 
 
-def _normal_gate_suite(summaries, mean_tol=0.005, var_tol=0.05, need_pass=4):
-    """Shared gates: per-seed mean and variance errors, majority KS."""
-    worst_mean = max(abs(s.mean_rel_err) for s in summaries)
-    worst_var = max(abs(s.var_rel_err) for s in summaries)
-    ks_passes = sum(1 for s in summaries if s.pass_normality)
-    return [
-        GateResult("max |emp mean / theory - 1|", worst_mean, mean_tol, worst_mean <= mean_tol),
-        GateResult("max |emp var / theory - 1|", worst_var, var_tol, worst_var <= var_tol),
-        GateResult("KS passes out of 5 (need >= 4)", ks_passes, need_pass, ks_passes >= need_pass),
-    ]
+@dataclass(frozen=True)
+class TrialPreset:
+    """One seeded Monte Carlo preset: the same experiment under each master seed.
 
-
-def _normal_runs(dist, n, trials, seed_specs, workers, out_dir, standardization="theoretical"):
-    """Collect ln Z and summarize the normal route for each (seed, pattern spec)."""
-    summaries = []
-    for seed, spec in seed_specs:
-        cfg = ExperimentConfig(dist, spec, n, trials, seed, "normal", standardization)
-        pat = spec.resolve(dist)
-        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        summaries.append(summarize_normal(cfg, pat, collect_ln_counts(cfg, pat, workers), sub))
-    return summaries
-
-
-def preset_t2a_normal(out_dir=None, workers=1, trials=100_000, seeds=T2A_SEEDS):
-    """CLT for w = aba over a uniform binary source at n = 2000."""
-    dist = SourceDist(_BINARY, (0.5, 0.5))
-    spec = PatternSpec.explicit((0, 1, 0))
-    summaries = _normal_runs(dist, 2000, trials, [(s, spec) for s in seeds], workers, out_dir)
-    return PresetReport(
-        name="t2a_normal",
-        params={"n": 2000, "pattern": "aba", "probs": [0.5, 0.5], "trials": trials, "seeds": list(seeds)},
-        gates=_normal_gate_suite(summaries),
-        seed_summaries=[s.to_dict() for s in summaries],
-    )
-
-
-def preset_tka_skewed(out_dir=None, workers=1, trials=100_000, seeds=DEFAULT_SEEDS):
-    """Block pattern 0^20 1^20 against a skewed source at n = 4000, m = 40.
-
-    The pattern proportions sit 0.28 away from the source probabilities,
-    which keeps the first-projection log-scale spread of Z,
-    sqrt(sigma1n) m / n, at 0.68; the finite-n distribution is visibly
-    log-normal-shaped, so the normal gates report what the data show.
+    ``routes`` lists the standardizations applied to each seed's ln Z
+    sample, in report order; with more than one route each seed writes
+    to ``seed_<s>/<route>``, otherwise to ``seed_<s>``.  A ``random``
+    pattern spec is redrawn per seed with ``pattern_seed`` set to the seed.
+    Each gate is (name, route, statistic, threshold), the statistic taken
+    over that route's per-seed summaries (see ``_GATE_STATISTICS``).
+    ``params`` are the report parameters besides n, probs, trials and seeds.
     """
-    dist = SourceDist(_BINARY, (0.7, 0.3))
-    spec = PatternSpec.explicit((0,) * 20 + (1,) * 20)
-    summaries = _normal_runs(dist, 4000, trials, [(s, spec) for s in seeds], workers, out_dir)
-    return PresetReport(
-        name="tka_skewed",
-        params={"n": 4000, "pattern": "a^20 b^20", "probs": [0.7, 0.3], "trials": trials, "seeds": list(seeds)},
-        gates=_normal_gate_suite(summaries),
-        seed_summaries=[s.to_dict() for s in summaries],
-    )
+
+    probs: tuple[float, float]
+    spec: PatternSpec
+    n: int
+    trials: int
+    seeds: tuple[int, ...]
+    routes: tuple[str, ...]
+    gates: tuple[tuple[str, str, str, float], ...]
+    params: dict
+    standardization: str = "theoretical"
 
 
-def _dual_regime_runs(dist, spec, n, trials, seeds, workers, out_dir, standardization="theoretical"):
-    """Collect ln Z once per seed; summarize under both standardizations."""
-    log_summaries, norm_summaries = [], []
+# statistic -> (its value over one route's summaries, its pass test against the threshold)
+_GATE_STATISTICS = {
+    "max_mean_err": (lambda ss: max(abs(s.mean_rel_err) for s in ss), operator.le),
+    "max_var_err": (lambda ss: max(abs(s.var_rel_err) for s in ss), operator.le),
+    "ks_passes": (lambda ss: sum(1 for s in ss if s.pass_normality), operator.ge),
+    "ks_failures": (lambda ss: sum(1 for s in ss if not s.pass_normality), operator.ge),
+    "skips_conforming": (lambda ss: float(all(s.skips_conforming for s in ss)), operator.ge),
+}
+
+_NORMAL_GATES = (
+    ("max |emp mean / theory - 1|", "normal", "max_mean_err", 0.005),
+    ("max |emp var / theory - 1|", "normal", "max_var_err", 0.05),
+    ("KS passes out of 5 (need >= 4)", "normal", "ks_passes", 4),
+)
+
+TRIAL_PRESETS = {
+    # CLT for w = aba over a uniform binary source at n = 2000.
+    "t2a_normal": TrialPreset(
+        (0.5, 0.5), PatternSpec.explicit((0, 1, 0)), 2000, 100_000, T2A_SEEDS,
+        ("normal",), _NORMAL_GATES, {"pattern": "aba"},
+    ),
+    # Block pattern 0^20 1^20 against a skewed source at n = 4000, m = 40.
+    # The pattern proportions sit 0.28 away from the source probabilities,
+    # which keeps the first-projection log-scale spread of Z,
+    # sqrt(sigma1n) m / n, at 0.68; the finite-n distribution is visibly
+    # log-normal-shaped, so the normal gates report what the data show.
+    "tka_skewed": TrialPreset(
+        (0.7, 0.3), PatternSpec.explicit((0,) * 20 + (1,) * 20), 4000, 100_000, DEFAULT_SEEDS,
+        ("normal",), _NORMAL_GATES, {"pattern": "a^20 b^20"},
+    ),
+    # Log-normal regime a^300 at n = 10^4, p_a = 1/2, with the normal must-fail.
+    # ln Z takes only the values ln C(k, 300), so the ln-route KS gate uses
+    # the lattice statistic; the exact law sits 0.0015 from N(0, 1) on it,
+    # against a critical value of 0.0043 at 10^5 trials.
+    "tln_lognormal": TrialPreset(
+        (0.5, 0.5), PatternSpec.constant(0, 300), 10_000, 100_000, DEFAULT_SEEDS,
+        ("lognormal", "normal"),
+        (
+            ("ln Z KS passes out of 5 (need >= 4)", "lognormal", "ks_passes", 4),
+            ("max |emp var(ln Z) / b_n - 1|", "lognormal", "max_var_err", 0.10),
+            ("normal route KS failures out of 5 (need >= 4)", "normal", "ks_failures", 4),
+            ("zero-count skips conforming (<= 1%)", "lognormal", "skips_conforming", 1.0),
+        ),
+        {"pattern": "a^300"},
+    ),
+    # Dichotomy at m ~ sqrt(n): a^200 at n = 4*10^4 is log-normal, not normal.
+    "eaaa_dichotomy": TrialPreset(
+        (0.5, 0.5), PatternSpec.constant(0, 200), 40_000, 10_000, DEFAULT_SEEDS,
+        ("lognormal", "normal"),
+        (
+            ("ln Z KS passes out of 5 (need >= 4)", "lognormal", "ks_passes", 4),
+            ("normal route KS failures out of 5 (need >= 4)", "normal", "ks_failures", 4),
+        ),
+        {"pattern": "a^200"},
+    ),
+    # CLT for a random pattern (one draw per seed) at n = 12000, m = 12.
+    # Standardization is empirical: the limit here is stated against the
+    # true Var(Z), for which the sample variance is the desk-scale stand-in.
+    "cor_random_normal": TrialPreset(
+        (0.5, 0.5), PatternSpec.random(12, 0), 12_000, 5000, DEFAULT_SEEDS,
+        ("normal",),
+        (
+            ("KS passes out of 5 (need >= 4)", "normal", "ks_passes", 4),
+            ("max |emp var / theory - 1|", "normal", "max_var_err", 0.05),
+        ),
+        {"m": 12},
+        standardization="empirical",
+    ),
+}
+
+
+def _run_trial_preset(name: str, out_dir=None, workers=1, trials=None, seeds=None) -> PresetReport:
+    """Run one row of ``TRIAL_PRESETS``; ``workers`` is accepted and has no effect.
+
+    ln Z is collected once per seed and summarized on every route of the
+    row, then the row's gates are applied.
+    """
+    row = TRIAL_PRESETS[name]
+    trials = row.trials if trials is None else trials
+    seeds = row.seeds if seeds is None else seeds
+    dist = SourceDist(_BINARY, row.probs)
+    summaries = {route: [] for route in row.routes}
     for seed in seeds:
-        cfg = ExperimentConfig(
-            dist, spec, n, trials, seed, "lognormal", standardization=standardization
-        )
-        pat = spec.resolve(dist)
-        lnz = collect_ln_counts(cfg, pat, workers)
-        sub_log = None if out_dir is None else Path(out_dir) / f"seed_{seed}" / "lognormal"
-        sub_norm = None if out_dir is None else Path(out_dir) / f"seed_{seed}" / "normal"
-        log_summaries.append(summarize_lognormal(cfg, pat, lnz, sub_log))
-        norm_summaries.append(summarize_normal(cfg, pat, lnz, sub_norm))
-    return log_summaries, norm_summaries
-
-
-def preset_tln_lognormal(out_dir=None, workers=1, trials=100_000, seeds=DEFAULT_SEEDS):
-    """Log-normal regime a^300 at n = 10^4, p_a = 1/2, with the normal must-fail.
-
-    ln Z takes only the values ln C(k, 300), so the ln-route KS gate uses
-    the lattice statistic; the exact law sits 0.0015 from N(0, 1) on it,
-    against a critical value of 0.0043 at 10^5 trials.
-    """
-    dist = SourceDist(_BINARY, (0.5, 0.5))
-    spec = PatternSpec.constant(0, 300)
-    logs, norms = _dual_regime_runs(dist, spec, 10_000, trials, seeds, workers, out_dir)
-    worst_var = max(abs(s.var_rel_err) for s in logs)
-    ks_passes = sum(1 for s in logs if s.pass_normality)
-    norm_fails = sum(1 for s in norms if not s.pass_normality)
-    conforming = all(s.skips_conforming for s in logs)
-    gates = [
-        GateResult("ln Z KS passes out of 5 (need >= 4)", ks_passes, 4, ks_passes >= 4),
-        GateResult("max |emp var(ln Z) / b_n - 1|", worst_var, 0.10, worst_var <= 0.10),
-        GateResult("normal route KS failures out of 5 (need >= 4)", norm_fails, 4, norm_fails >= 4),
-        GateResult("zero-count skips conforming (<= 1%)", float(conforming), 1.0, conforming),
-    ]
+        spec = replace(row.spec, pattern_seed=seed) if row.spec.kind == "random" else row.spec
+        cfg = ExperimentConfig(dist, spec, row.n, trials, seed, row.routes[0], row.standardization)
+        pattern = spec.resolve(dist)
+        lnz = collect_ln_counts(cfg, pattern)
+        for route in row.routes:
+            sub = None
+            if out_dir is not None:
+                sub = Path(out_dir) / f"seed_{seed}"
+                sub = sub / route if len(row.routes) > 1 else sub
+            summarize = summarize_normal if route == "normal" else summarize_lognormal
+            summaries[route].append(summarize(cfg, pattern, lnz, sub))
+    gates = []
+    for gate_name, route, statistic, threshold in row.gates:
+        value_of, passes = _GATE_STATISTICS[statistic]
+        value = value_of(summaries[route])
+        gates.append(GateResult(gate_name, value, threshold, passes(value, threshold)))
     return PresetReport(
-        name="tln_lognormal",
-        params={"n": 10_000, "pattern": "a^300", "probs": [0.5, 0.5], "trials": trials, "seeds": list(seeds)},
+        name=name,
+        params={"n": row.n, "probs": list(row.probs), **row.params, "trials": trials, "seeds": list(seeds)},
         gates=gates,
-        seed_summaries=[s.to_dict() for s in logs] + [s.to_dict() for s in norms],
+        seed_summaries=[s.to_dict() for route in row.routes for s in summaries[route]],
     )
 
 
-def preset_eaaa_dichotomy(out_dir=None, workers=1, trials=10_000, seeds=DEFAULT_SEEDS):
-    """Dichotomy at m ~ sqrt(n): a^200 at n = 4*10^4 is log-normal, not normal."""
-    dist = SourceDist(_BINARY, (0.5, 0.5))
-    spec = PatternSpec.constant(0, 200)
-    logs, norms = _dual_regime_runs(dist, spec, 40_000, trials, seeds, workers, out_dir)
-    ks_passes = sum(1 for s in logs if s.pass_normality)
-    norm_fails = sum(1 for s in norms if not s.pass_normality)
-    gates = [
-        GateResult("ln Z KS passes out of 5 (need >= 4)", ks_passes, 4, ks_passes >= 4),
-        GateResult("normal route KS failures out of 5 (need >= 4)", norm_fails, 4, norm_fails >= 4),
-    ]
-    return PresetReport(
-        name="eaaa_dichotomy",
-        params={"n": 40_000, "pattern": "a^200", "probs": [0.5, 0.5], "trials": trials, "seeds": list(seeds)},
-        gates=gates,
-        seed_summaries=[s.to_dict() for s in logs] + [s.to_dict() for s in norms],
-    )
+preset_t2a_normal = partial(_run_trial_preset, "t2a_normal")
+preset_tka_skewed = partial(_run_trial_preset, "tka_skewed")
+preset_tln_lognormal = partial(_run_trial_preset, "tln_lognormal")
+preset_eaaa_dichotomy = partial(_run_trial_preset, "eaaa_dichotomy")
+preset_cor_random_normal = partial(_run_trial_preset, "cor_random_normal")
 
 
 def preset_tllow_alternating(out_dir=None, workers=1, n_max=100):
@@ -302,30 +326,6 @@ def preset_tlrandom_scaling(out_dir=None, workers=1, patterns=2000, master_seed=
     )
 
 
-def preset_cor_random_normal(out_dir=None, workers=1, trials=5000, seeds=DEFAULT_SEEDS):
-    """CLT for a random pattern (one draw per seed) at n = 12000, m = 12.
-
-    Standardization is empirical: the limit here is stated against the
-    true Var(Z), for which the sample variance is the desk-scale
-    stand-in.
-    """
-    dist = SourceDist(_BINARY, (0.5, 0.5))
-    seed_specs = [(s, PatternSpec.random(12, s)) for s in seeds]
-    summaries = _normal_runs(dist, 12_000, trials, seed_specs, workers, out_dir, "empirical")
-    ks_passes = sum(1 for s in summaries if s.pass_normality)
-    worst_var = max(abs(s.var_rel_err) for s in summaries)
-    gates = [
-        GateResult("KS passes out of 5 (need >= 4)", ks_passes, 4, ks_passes >= 4),
-        GateResult("max |emp var / theory - 1|", worst_var, 0.05, worst_var <= 0.05),
-    ]
-    return PresetReport(
-        name="cor_random_normal",
-        params={"n": 12_000, "m": 12, "probs": [0.5, 0.5], "trials": trials, "seeds": list(seeds)},
-        gates=gates,
-        seed_summaries=[s.to_dict() for s in summaries],
-    )
-
-
 PRESETS = {
     "t2a_normal": preset_t2a_normal,
     "tka_skewed": preset_tka_skewed,
@@ -336,19 +336,25 @@ PRESETS = {
     "cor_random_normal": preset_cor_random_normal,
 }
 
+# keywords each preset takes besides out_dir and workers
+_OVERRIDES = {
+    **dict.fromkeys(TRIAL_PRESETS, {"trials", "seeds"}),
+    "tllow_alternating": {"n_max"},
+    "tlrandom_scaling": {"patterns", "master_seed"},
+}
+
 
 def run_preset(name: str, out_dir=None, workers: int = 1, **overrides) -> PresetReport:
-    """Run a named preset; unknown names or override keys raise ValueError."""
+    """Run a named preset; unknown names or override keys raise ValueError.
+
+    ``workers`` is accepted for compatibility and has no effect.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    fn = PRESETS[name]
-    import inspect
-
-    allowed = set(inspect.signature(fn).parameters) - {"out_dir", "workers"}
-    bad = set(overrides) - allowed
+    bad = set(overrides) - _OVERRIDES[name]
     if bad:
         raise ValueError(f"preset {name!r} does not accept overrides: {sorted(bad)}")
-    report = fn(out_dir=out_dir, workers=workers, **overrides)
+    report = PRESETS[name](out_dir=out_dir, **overrides)
     if out_dir is not None:
         report.write(out_dir)
     return report

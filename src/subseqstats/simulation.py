@@ -15,15 +15,16 @@ and not the jumps every discrete sample has against a continuous CDF.
 
 Trial t always draws its text from the stream seed derived from
 (master_seed, t), batches have a fixed size, and samples are written
-sorted, so results are byte-identical for any worker count.
+sorted, so a run's output bytes depend only on its configuration.
+Trials run on one thread: a thread pool over batches measured slower
+than the serial loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -212,56 +213,66 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
 
 
 def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
-    """ln Z per trial (-inf for zero counts), invariant to the worker count."""
-    const = pattern.is_constant
-    symbol = pattern.word[0]
-    m = pattern.length
-    out = np.empty(cfg.trials)
-    bounds = [
-        (lo, min(lo + BATCH_SIZE, cfg.trials)) for lo in range(0, cfg.trials, BATCH_SIZE)
-    ]
+    """ln Z per trial (-inf for zero counts), in fixed spans of BATCH_SIZE trials.
 
-    def run_batch(span):
-        lo, hi = span
+    ``workers`` is accepted for compatibility and has no effect.
+    """
+    out = np.empty(cfg.trials)
+    for lo in range(0, cfg.trials, BATCH_SIZE):
+        hi = min(lo + BATCH_SIZE, cfg.trials)
         seeds = [derive_seed(cfg.master_seed, t) for t in range(lo, hi)]
         letters = batch_letters(cfg.dist, cfg.n, seeds)
-        if const:
-            counts = np.count_nonzero(letters == symbol, axis=1)
-            return lo, hi, _ln_binom_of_counts(counts, m)
-        return lo, hi, batched_ln_counts(letters, pattern.word)
-
-    if workers <= 1:
-        for span in bounds:
-            lo, hi, lnz = run_batch(span)
-            out[lo:hi] = lnz
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, hi, lnz in pool.map(run_batch, bounds):
-                out[lo:hi] = lnz
+        if pattern.is_constant:
+            counts = np.count_nonzero(letters == pattern.word[0], axis=1)
+            out[lo:hi] = _ln_binom_of_counts(counts, pattern.length)
+        else:
+            out[lo:hi] = batched_ln_counts(letters, pattern.word)
     return out
 
 
-def _empirical_stats(values: np.ndarray):
-    n = values.size
-    mean = float(values.mean()) if n else math.nan
-    if n >= 2:
-        var = float(values.var(ddof=1))
-        skw = float(skew(values))
-        kur = float(kurtosis(values))
-    else:
-        var = skw = kur = math.nan
-    return mean, var, skw, kur
+def _summarize(
+    cfg, pattern, regime, values, atoms, skipped, mean_rel_err, var_rel_err, out_dir
+) -> SimSummary:
+    """Moments, KS verdict and output files of one route's standardized sample.
 
-
-def _write_outputs(out_dir, values: np.ndarray, summary: SimSummary) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["standardized_value"]
-    lines.extend(repr(float(v)) for v in np.sort(values))
-    (out / "samples.csv").write_text("\n".join(lines) + "\n")
-    (out / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    ``values`` are the trials the route kept and ``atoms`` their lattice
+    support (None off a lattice); ``skipped`` zero-count trials were dropped.
+    """
+    size = values.size
+    conforming = skipped == 0 or skipped / cfg.trials <= cfg.zero_skip_limit
+    crit = ks_critical(max(size, 1))
+    ks = ks_statistic(values, atoms) if size >= 2 else None
+    summary = SimSummary(
+        regime=regime,
+        n=cfg.n,
+        m=pattern.length,
+        pattern=pattern.to_string(),
+        standardization=cfg.standardization,
+        trials=cfg.trials,
+        master_seed=cfg.master_seed,
+        trials_used=int(size),
+        trials_skipped_zero=skipped,
+        skips_conforming=conforming,
+        emp_mean=float(values.mean()) if size else math.nan,
+        emp_var=float(values.var(ddof=1)) if size >= 2 else math.nan,
+        skewness=float(skew(values)) if size >= 2 else math.nan,
+        excess_kurtosis=float(kurtosis(values)) if size >= 2 else math.nan,
+        ks_stat=ks,
+        ks_critical_5pct=crit,
+        mean_rel_err=mean_rel_err,
+        var_rel_err=var_rel_err,
+        pass_normality=(ks is not None and ks < crit and conforming),
     )
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        lines = ["standardized_value"]
+        lines.extend(repr(float(v)) for v in np.sort(values))
+        (out / "samples.csv").write_text("\n".join(lines) + "\n")
+        (out / "summary.json").write_text(
+            json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+        )
+    return summary
 
 
 def normal_scale_factors(dist: SourceDist, pattern: Pattern, n: int) -> tuple[float, float]:
@@ -289,46 +300,22 @@ def summarize_normal(
     values = s_theo
     if cfg.standardization == "empirical":
         values, atoms = _empirical_map(s_theo, atoms)
-    mean, var, skw, kur = _empirical_stats(values)
-    crit = ks_critical(cfg.trials)
-    ks = ks_statistic(values, atoms) if cfg.trials >= 2 else None
-    summary = SimSummary(
-        regime="normal",
-        n=cfg.n,
-        m=pattern.length,
-        pattern=pattern.to_string(),
-        standardization=cfg.standardization,
-        trials=cfg.trials,
-        master_seed=cfg.master_seed,
-        trials_used=int(values.size),
-        trials_skipped_zero=0,
-        skips_conforming=True,
-        emp_mean=mean,
-        emp_var=var,
-        skewness=skw,
-        excess_kurtosis=kur,
-        ks_stat=ks,
-        ks_critical_5pct=crit,
-        mean_rel_err=float(np.expm1(lnz - ln_ez).mean()),
-        var_rel_err=float(np.var(s_theo, ddof=1) - 1.0) if cfg.trials >= 2 else math.nan,
-        pass_normality=(ks is not None and ks < crit),
+    return _summarize(
+        cfg, pattern, "normal", values, atoms, 0,
+        float(np.expm1(lnz - ln_ez).mean()),
+        float(np.var(s_theo, ddof=1) - 1.0) if cfg.trials >= 2 else math.nan,
+        out_dir,
     )
-    if out_dir is not None:
-        _write_outputs(out_dir, values, summary)
-    return summary
 
 
-def run_normal_experiment(
-    cfg: ExperimentConfig, workers: int = 1, out_dir=None
-) -> SimSummary:
+def run_normal_experiment(cfg: ExperimentConfig, out_dir=None) -> SimSummary:
     """Sample S = (Z - E[Z]) / (p_w sigma_1) and test it against N(0, 1)."""
     if cfg.regime != "normal":
         raise ValueError("config regime is not 'normal'")
     pattern = cfg.pattern_spec.resolve(cfg.dist)
     if cfg.n < pattern.length:
         raise ValueError("text length n must be at least the pattern length")
-    lnz = collect_ln_counts(cfg, pattern, workers)
-    return summarize_normal(cfg, pattern, lnz, out_dir)
+    return summarize_normal(cfg, pattern, collect_ln_counts(cfg, pattern), out_dir)
 
 
 def lognormal_parameters(n: int, m: int, p_a: float) -> tuple[float, float]:
@@ -357,52 +344,25 @@ def summarize_lognormal(
         )
     keep = np.isfinite(lnz)
     used = lnz[keep]
-    skipped = int(lnz.size - used.size)
-    frac = skipped / lnz.size
-    conforming = frac <= cfg.zero_skip_limit
     t_theo = (used - a_n) / math.sqrt(b_n)
     atoms = (_ln_count_atoms(n, m)[m:] - a_n) / math.sqrt(b_n)
     values = t_theo
     if cfg.standardization == "empirical" and used.size >= 2:
         values, atoms = _empirical_map(t_theo, atoms)
-    mean, var, skw, kur = _empirical_stats(values)
-    crit = ks_critical(max(used.size, 1))
-    ks = ks_statistic(values, atoms) if used.size >= 2 else None
-    summary = SimSummary(
-        regime="lognormal",
-        n=n,
-        m=m,
-        pattern=pattern.to_string(),
-        standardization=cfg.standardization,
-        trials=cfg.trials,
-        master_seed=cfg.master_seed,
-        trials_used=int(used.size),
-        trials_skipped_zero=skipped,
-        skips_conforming=conforming,
-        emp_mean=mean,
-        emp_var=var,
-        skewness=skw,
-        excess_kurtosis=kur,
-        ks_stat=ks,
-        ks_critical_5pct=crit,
-        mean_rel_err=(float(used.mean()) - a_n) / abs(a_n) if used.size else math.nan,
-        var_rel_err=float(used.var(ddof=1)) / b_n - 1.0 if used.size >= 2 else math.nan,
-        pass_normality=(ks is not None and ks < crit and conforming),
+    return _summarize(
+        cfg, pattern, "lognormal", values, atoms, int(lnz.size - used.size),
+        (float(used.mean()) - a_n) / abs(a_n) if used.size else math.nan,
+        float(used.var(ddof=1)) / b_n - 1.0 if used.size >= 2 else math.nan,
+        out_dir,
     )
-    if out_dir is not None:
-        _write_outputs(out_dir, values, summary)
-    return summary
 
 
-def run_lognormal_experiment(
-    cfg: ExperimentConfig, workers: int = 1, out_dir=None
-) -> SimSummary:
+def run_lognormal_experiment(cfg: ExperimentConfig, out_dir=None) -> SimSummary:
     """Sample T = (ln Z - ln C(n p_a, m)) / sqrt(b_n) for a constant pattern."""
     if cfg.regime != "lognormal":
         raise ValueError("config regime is not 'lognormal'")
     pattern = cfg.pattern_spec.resolve(cfg.dist)
-    lnz = collect_ln_counts(cfg, pattern, workers)
-    return summarize_lognormal(cfg, pattern, lnz, out_dir)
+    return summarize_lognormal(cfg, pattern, collect_ln_counts(cfg, pattern), out_dir)
 
 
 @dataclass(frozen=True)
@@ -429,33 +389,17 @@ class LasnReport:
 
 
 def lasn_consistency_check(
-    n: int, m: int, p_a: float, trials: int, master_seed: int, workers: int = 1
+    n: int, m: int, p_a: float, trials: int, master_seed: int
 ) -> LasnReport:
     """Run both standardizations on shared constant-pattern samples."""
     if not (0.0 < p_a < 1.0):
         raise ValueError("p_a must lie strictly in (0, 1)")
     dist = SourceDist(Alphabet.from_string("ab"), (p_a, 1.0 - p_a))
-    cfg = ExperimentConfig(
-        dist=dist,
-        pattern_spec=PatternSpec.constant(0, m),
-        n=n,
-        trials=trials,
-        master_seed=master_seed,
-        regime="lognormal",
-    )
+    cfg = ExperimentConfig(dist, PatternSpec.constant(0, m), n, trials, master_seed, "lognormal")
     pattern = cfg.pattern_spec.resolve(dist)
-    a_n, b_n = lognormal_parameters(n, m, p_a)
-    ln_ez, ln_scale = normal_scale_factors(dist, pattern, n)
-    lnz = collect_ln_counts(cfg, pattern, workers)
-    keep = np.isfinite(lnz)
-    used = lnz[keep]
-    skipped = int(lnz.size - used.size)
-    t_log = (used - a_n) / math.sqrt(b_n)
-    factor = math.exp(ln_ez - ln_scale)
-    s_count = np.expm1(lnz - ln_ez) * factor
-    ln_atoms = _ln_count_atoms(n, m)
-    ks_log = ks_statistic(t_log, (ln_atoms[m:] - a_n) / math.sqrt(b_n))
-    ks_count = ks_statistic(s_count, np.expm1(ln_atoms - ln_ez) * factor)
+    lnz = collect_ln_counts(cfg, pattern)
+    log_route = summarize_lognormal(cfg, pattern, lnz)
+    count_route = summarize_normal(cfg, pattern, lnz)
     crit = ks_critical(trials)
     b_asym = (1.0 / p_a - 1.0) * m * m / n
     return LasnReport(
@@ -465,15 +409,10 @@ def lasn_consistency_check(
         trials=trials,
         b_asym=b_asym,
         equivalence_expected=b_asym <= 0.1,
-        ks_log_route=ks_log,
-        ks_count_route=ks_count,
+        ks_log_route=log_route.ks_stat,
+        ks_count_route=count_route.ks_stat,
         ks_critical_5pct=crit,
-        pass_log_route=ks_log < crit,
-        pass_count_route=ks_count < crit,
-        trials_skipped_zero=skipped,
+        pass_log_route=log_route.ks_stat < crit,
+        pass_count_route=count_route.ks_stat < crit,
+        trials_skipped_zero=log_route.trials_skipped_zero,
     )
-
-
-def rerun_with_seed(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
-    """Same experiment, different master seed."""
-    return replace(cfg, master_seed=master_seed)

@@ -4,8 +4,7 @@ Text letters are i.i.d. draws from a fixed distribution over a finite
 alphabet.  Symbols are handled as integer indices internally; strings
 appear only at construction and display time.  Generation is driven by a
 per-stream seed so that a master seed plus a trial index always yields
-the same text regardless of how trials are grouped into batches or
-spread over workers.
+the same text regardless of how trials are grouped into batches.
 """
 
 from __future__ import annotations
@@ -236,21 +235,32 @@ def _alias_tables(probs):
     return accept, alias
 
 
-def _sample_indices(dist: SourceDist, n: int, rng: np.random.Generator) -> np.ndarray:
+def _letter_sampler(dist: SourceDist):
+    """``draw(rng, n)``: n int8 letter indices from n uniforms of ``rng``.
+
+    The inverse-CDF or alias tables are built here once, so a caller that
+    draws many texts from one source pays for them once.
+    """
     k = dist.alphabet.size
-    u = rng.random(n)
     if k <= _SCAN_MAX:
         cum = np.cumsum(np.asarray(dist.probs))
-        idx = np.searchsorted(cum, u, side="right")
-        np.minimum(idx, k - 1, out=idx)
+
+        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+            idx = np.searchsorted(cum, rng.random(n), side="right")
+            np.minimum(idx, k - 1, out=idx)
+            return idx.astype(np.int8)
+
     else:
         accept, alias = _alias_tables(dist.probs)
-        v = u * k
-        idx = v.astype(np.int64)
-        np.minimum(idx, k - 1, out=idx)
-        frac = v - idx
-        idx = np.where(frac < accept[idx], idx, alias[idx])
-    return idx.astype(np.int8)
+
+        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+            v = rng.random(n) * k
+            idx = v.astype(np.int64)
+            np.minimum(idx, k - 1, out=idx)
+            frac = v - idx
+            return np.where(frac < accept[idx], idx, alias[idx]).astype(np.int8)
+
+    return draw
 
 
 def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
@@ -258,7 +268,7 @@ def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Text(_sample_indices(dist, n, rng), dist.alphabet)
+    return Text(_letter_sampler(dist)(rng, n), dist.alphabet)
 
 
 def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
@@ -268,10 +278,10 @@ def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
     depend on how the seeds were grouped into batches.
     """
     seeds = list(stream_seeds)
+    draw = _letter_sampler(dist)
     out = np.empty((len(seeds), n), dtype=np.int8)
     for row, s in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(int(s)))
-        out[row] = _sample_indices(dist, n, rng)
+        out[row] = draw(np.random.Generator(np.random.PCG64(int(s))), n)
     return out
 
 

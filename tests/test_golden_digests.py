@@ -112,3 +112,36 @@ def test_preset_report_digest(tmp_path):
     files = [tmp_path / "report.json", *sorted(tmp_path.glob("seed_*/samples.csv"))]
     assert len(files) == 6
     assert _sha(b"".join(f.read_bytes() for f in files)) == PRESET_DIGEST
+
+
+# every preset at a reduced size: name -> overrides
+PRESET_CASES = {
+    "t2a_normal": {"trials": 600, "seeds": (101, 149)},
+    "tka_skewed": {"trials": 300, "seeds": (101, 211)},
+    "tln_lognormal": {"trials": 800, "seeds": (101, 211)},
+    "eaaa_dichotomy": {"trials": 400, "seeds": (101, 211)},
+    "tllow_alternating": {"n_max": 24},
+    "tlrandom_scaling": {"patterns": 40},
+    "cor_random_normal": {"trials": 400, "seeds": (101, 211)},
+}
+
+# report.json, then for tln_lognormal both routes' samples.csv of each seed, in path order
+PRESET_DIGESTS = {
+    "t2a_normal": "aa45502c948f7b3df7403579927a1e9143c9a1ee22b13d7234c65d6a4cfa8b4b",
+    "tka_skewed": "861be4e30f970860559b669e31a368e14d733a1f06e0a847f7828a1cabd93ef9",
+    "tln_lognormal": "205ec2b87332f9c205a8199f893c49bde30091a9b99e9b91a1f8214725ad4fb2",
+    "eaaa_dichotomy": "18c6ae4ef21f6a9f010e03b8ed03d11877ef2440bf79e0b74b6137bc89158eb6",
+    "tllow_alternating": "0a550f7ed661ee626617843b3a62c0990a307ad29dfd691c3152179e5dd9ff6a",
+    "tlrandom_scaling": "28fff71fc84b8699b2e49b1ad826184b6d8d38dca5d7a25390456dd8bed97167",
+    "cor_random_normal": "6cfe47862979170ba76a8bca35b5be237f48d110e15f39141fbab4dc2beb2618",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CASES))
+def test_every_preset_digest(name, tmp_path):
+    run_preset(name, out_dir=tmp_path, **PRESET_CASES[name])
+    files = [tmp_path / "report.json"]
+    if name == "tln_lognormal":
+        files += sorted(tmp_path.glob("seed_*/*/samples.csv"))
+        assert len(files) == 5
+    assert _sha(b"".join(f.read_bytes() for f in files)) == PRESET_DIGESTS[name]

@@ -11,10 +11,8 @@ from conftest import AB, binary_dist, make_pattern
 from subseqstats.channel import mc_count_moment
 from subseqstats.counting import batched_ln_counts
 from subseqstats.moments import (
-    alternating_tau,
     alternating_tau_int,
     binomial_exact,
-    coeff_c,
     coeff_c_exact,
     expected_count,
     expected_count_exact,
@@ -93,12 +91,6 @@ def test_coeff_c_edge_and_symmetry():
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             assert coeff_c_exact(i, j, n, m) == coeff_c_exact(n + 1 - i, m + 1 - j, n, m)
-            got = coeff_c(i, j, n, m)
-            want = coeff_c_exact(i, j, n, m)
-            if want == 0:
-                assert got.is_zero
-            else:
-                assert got.to_float() == pytest.approx(want, rel=1e-12)
 
 
 def test_pi_row_is_shifted_hypergeometric():
@@ -236,12 +228,6 @@ def test_alternating_tau_edge_and_symmetry():
     assert abs(alternating_tau_int(1, n, m)) == binomial_exact(n - 1, m - 1)
     for i in range(1, n + 1):
         assert abs(alternating_tau_int(i, n, m)) == abs(alternating_tau_int(n + 1 - i, n, m))
-        got = alternating_tau(i, n, m)
-        want = alternating_tau_int(i, n, m)
-        if want == 0:
-            assert got.is_zero
-        else:
-            assert got.to_float() == pytest.approx(want, rel=1e-10)
 
 
 def test_alternating_tau_hypergeometric_oracle():

@@ -17,7 +17,6 @@ from subseqstats.simulation import (
     lasn_consistency_check,
     lognormal_parameters,
     normal_scale_factors,
-    rerun_with_seed,
     run_lognormal_experiment,
     run_normal_experiment,
     summarize_normal,
@@ -100,13 +99,6 @@ def test_config_validation():
         make_cfg(standardization="bogus")
     with pytest.raises(ValueError):
         make_cfg(master_seed=-1)
-
-
-def test_rerun_with_seed():
-    cfg = make_cfg()
-    other = rerun_with_seed(cfg, 999)
-    assert other.master_seed == 999
-    assert other.n == cfg.n and other.trials == cfg.trials
 
 
 def test_random_pattern_spec_deterministic():

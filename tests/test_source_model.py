@@ -133,12 +133,16 @@ def test_generate_text_deterministic():
 
 
 def test_batch_letters_matches_scalar_path():
-    d = SourceDist(Alphabet.from_string("abc"), (0.2, 0.5, 0.3))
-    seeds = [derive_seed(9, t) for t in range(8)]
-    block = batch_letters(d, 64, seeds)
-    assert block.shape == (8, 64)
-    for row, seed in zip(block, seeds):
-        assert np.array_equal(row, generate_text(d, 64, seed).letters)
+    # three letters take the inverse-CDF path, five the alias tables
+    for d in (
+        SourceDist(Alphabet.from_string("abc"), (0.2, 0.5, 0.3)),
+        SourceDist(Alphabet.from_string("abcde"), (0.05, 0.1, 0.15, 0.3, 0.4)),
+    ):
+        seeds = [derive_seed(9, t) for t in range(8)]
+        block = batch_letters(d, 64, seeds)
+        assert block.shape == (8, 64)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, generate_text(d, 64, seed).letters)
 
 
 def test_law_of_large_numbers_uniform():
