@@ -8,8 +8,9 @@ coefficients c(i, j) = C(i-1, j-1) * C(n-i, m-j), the number of
 occurrence slots that place pattern position j at text position i.
 Normalizing a row of those coefficients by C(n-1, m-1) gives a
 hypergeometric-type occupancy law pi(i, .), which is what the stable
-float route evaluates; exact rational companions cover moderate n as
-oracles.
+float route evaluates: ``occupancy_rows`` builds a block of such rows at
+once, and sigma_1^2 and the random-pattern average are sums over those
+blocks.  Exact rational companions cover moderate n as oracles.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .counting import _TILE_CELLS
 from .lognum import LogNum
 from .source_model import Pattern, SourceDist, proportion_distance
 
 # exact rational companions are supported up to this text length
 EXACT_N_LIMIT = 500
 
-# default m^2 C(n-1, m-1)^2 / sigma_1^2 threshold for calling the normal regime
+# m^2 C(n-1, m-1)^2 / sigma_1^2 threshold for calling the normal regime
 NORMAL_RATIO_THRESHOLD = 0.01
 
 
@@ -85,73 +87,70 @@ def coeff_c_exact(i: int, j: int, n: int, m: int) -> int:
     return binomial_exact(i - 1, j - 1) * binomial_exact(n - i, m - j)
 
 
-def pi_row(i: int, n: int, m: int) -> np.ndarray:
-    """Occupancy row pi(i, 1..m) = c(i, .) / C(n-1, m-1) as a float array.
+def occupancy_rows(n: int, m: int, i_lo: int, i_hi: int) -> np.ndarray:
+    """Occupancy rows pi(i, 1..m) = c(i, .) / C(n-1, m-1) for i = i_lo..i_hi.
 
-    Evaluated outward from the mode through the ratio recurrence
-    pi(i, j+1)/pi(i, j) = (i-j)(m-j) / (j (n-i-m+j+1)), then normalized,
-    so no binomial is ever formed and underflow in the tails is benign.
+    Row i is evaluated outward from its mode j0 through the ratio
+    recurrence pi(i, j+1)/pi(i, j) = (i-j)(m-j) / (j (n-i-m+j+1)), as
+    one cumulative product upward and one downward, then normalized, so
+    no binomial is ever formed and underflow in the tails is benign.
+    Ratios outside a row's support [lo, hi] are 1.0, which leaves the
+    product order of a per-row loop unchanged, and are masked to 0 after.
     """
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
-    if not (1 <= i <= n):
-        raise ValueError("text position i out of range")
-    lo = max(1, m - (n - i))
-    hi = min(i, m)
-    j0 = -((-i * m) // (n + 1))  # ceil(i m / (n+1))
-    j0 = min(max(j0, lo), hi)
-    row = np.zeros(m)
-    row[j0 - 1] = 1.0
-    val = 1.0
-    for j in range(j0, hi):
-        val *= (i - j) * (m - j) / (j * (n - i - m + j + 1))
-        row[j] = val
-    val = 1.0
-    for j in range(j0 - 1, lo - 1, -1):
-        val *= j * (n - i - m + j + 1) / ((i - j) * (m - j))
-        row[j - 1] = val
-    row /= row.sum()
-    return row
+    if not (1 <= i_lo <= i_hi <= n):
+        raise ValueError("need 1 <= i_lo <= i_hi <= n")
+    i = np.arange(i_lo, i_hi + 1, dtype=np.int64)[:, None]
+    s = np.arange(1, m + 1, dtype=np.int64)
+    lo = np.maximum(1, m - (n - i))
+    hi = np.minimum(i, m)
+    j0 = np.clip(-((-i * m) // (n + 1)), lo, hi)  # ceil(i m / (n+1))
+    # pi(i, s) / pi(i, s-1) above the mode, pi(i, s) / pi(i, s+1) below it;
+    # masked before dividing so no zero or negative denominator is formed
+    up_ok = (s > j0) & (s <= hi)
+    up = np.where(up_ok, (i - s + 1) * (m - s + 1), 1) / np.where(up_ok, (s - 1) * (n - i - m + s), 1)
+    dn_ok = (s >= lo) & (s < j0)
+    dn = np.where(dn_ok, s * (n - i - m + s + 1), 1) / np.where(dn_ok, (i - s) * (m - s), 1)
+    rows = np.where(s >= j0, np.cumprod(up, axis=1), np.cumprod(dn[:, ::-1], axis=1)[:, ::-1])
+    rows = np.where((s >= lo) & (s <= hi), rows, 0.0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
-def _letter_weight_sums(pattern: Pattern, row: np.ndarray) -> np.ndarray:
-    """Per-symbol sums S_a = sum of row entries over pattern slots using a."""
-    sums = np.zeros(pattern.alphabet.size)
-    np.add.at(sums, np.asarray(pattern.word), row)
-    return sums
+def _tau_sq_block(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: int) -> np.ndarray:
+    """tau_i^2 / C(n-1, m-1)^2 = sum_a S_a^2 / p_a - 1 for i = i_lo..i_hi.
 
-
-def tau_sq_normalized(i: int, dist: SourceDist, pattern: Pattern, n: int) -> float:
-    """tau_i^2 / C(n-1, m-1)^2 = sum_a S_a^2 / p_a - 1, clamped at tiny negatives.
-
-    A value below -1e-9 means the occupancy row lost too much precision
-    and is reported as an error rather than clamped.
+    S_a sums row i over the pattern slots that use letter a, in slot
+    order.  Values are clamped at tiny negatives; one below -1e-9 means
+    the occupancy row lost too much precision and raises instead.
     """
-    row = pi_row(i, n, pattern.length)
-    sums = _letter_weight_sums(pattern, row)
-    r = float(np.sum(sums * sums / np.asarray(dist.probs)) - 1.0)
-    if r < -1e-9:
+    rows = occupancy_rows(n, pattern.length, i_lo, i_hi)
+    word = np.asarray(pattern.word)
+    sums = np.zeros((rows.shape[0], pattern.alphabet.size))
+    for a in np.unique(word):
+        sums[:, a] = np.cumsum(rows[:, word == a], axis=1)[:, -1]
+    r = np.sum(sums * sums / np.asarray(dist.probs), axis=1) - 1.0
+    bad = np.flatnonzero(r < -1e-9)
+    if bad.size:
         raise ArithmeticError(
-            f"normalized tau^2 at i={i} came out {r}, below the -1e-9 guard"
+            f"normalized tau^2 at i={i_lo + bad[0]} came out {r[bad[0]]}, below the -1e-9 guard"
         )
-    return max(r, 0.0)
+    return np.maximum(r, 0.0)
 
 
-def tau_sq(
-    i: int, dist: SourceDist, pattern: Pattern, n: int, arithmetic: str = "stable-float"
-) -> LogNum:
-    """Variance contribution of text position i to the linear term."""
+def _check_pair(dist: SourceDist, pattern: Pattern, n: int) -> None:
     if pattern.alphabet != dist.alphabet:
         raise ValueError("pattern and distribution use different alphabets")
     if n < pattern.length:
         raise ValueError("text length n must be at least the pattern length")
-    if arithmetic == "stable-float":
-        r = tau_sq_normalized(i, dist, pattern, n)
-        scale = log_binomial(n - 1, pattern.length - 1).pow_int(2)
-        return LogNum.from_float(r) * scale
-    if arithmetic == "exact":
-        return LogNum.from_fraction(tau_sq_exact(i, dist, pattern, n))
-    raise ValueError(f"unknown arithmetic {arithmetic!r}")
+
+
+def tau_sq(i: int, dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
+    """Variance contribution of text position i to the linear term."""
+    _check_pair(dist, pattern, n)
+    r = float(_tau_sq_block(dist, pattern, n, i, i)[0])
+    return LogNum.from_float(r) * log_binomial(n - 1, pattern.length - 1).pow_int(2)
 
 
 def tau_sq_exact(i: int, dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
@@ -170,27 +169,24 @@ def tau_sq_exact(i: int, dist: SourceDist, pattern: Pattern, n: int) -> Fraction
 
 @lru_cache(maxsize=64)
 def sigma1_sq_normalized(dist: SourceDist, pattern: Pattern, n: int) -> float:
-    """sigma_1^2 / C(n-1, m-1)^2 as a plain float."""
-    return float(
-        sum(tau_sq_normalized(i, dist, pattern, n) for i in range(1, n + 1))
-    )
+    """sigma_1^2 / C(n-1, m-1)^2 as a plain float.
+
+    Rows are built in blocks of about ``_TILE_CELLS`` entries; the
+    per-position values are then added left to right by ``sum``, in the
+    same order whatever the block size.
+    """
+    step = max(1, _TILE_CELLS // pattern.length)
+    values = []
+    for i_lo in range(1, n + 1, step):
+        values += _tau_sq_block(dist, pattern, n, i_lo, min(i_lo + step - 1, n)).tolist()
+    return float(sum(values))
 
 
-def sigma1_sq(
-    dist: SourceDist, pattern: Pattern, n: int, arithmetic: str = "stable-float"
-) -> LogNum:
+def sigma1_sq(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
     """Variance of the linear projection term, sum over i of tau_i^2."""
-    if pattern.alphabet != dist.alphabet:
-        raise ValueError("pattern and distribution use different alphabets")
-    if n < pattern.length:
-        raise ValueError("text length n must be at least the pattern length")
-    if arithmetic == "stable-float":
-        total = sigma1_sq_normalized(dist, pattern, n)
-        scale = log_binomial(n - 1, pattern.length - 1).pow_int(2)
-        return LogNum.from_float(total) * scale
-    if arithmetic == "exact":
-        return LogNum.from_fraction(sigma1_sq_exact(dist, pattern, n))
-    raise ValueError(f"unknown arithmetic {arithmetic!r}")
+    _check_pair(dist, pattern, n)
+    total = sigma1_sq_normalized(dist, pattern, n)
+    return LogNum.from_float(total) * log_binomial(n - 1, pattern.length - 1).pow_int(2)
 
 
 def sigma1_sq_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
@@ -289,33 +285,17 @@ def hg_sign_bias(n: int, k: int, l: int) -> tuple[float, float]:
     return bias, math.exp(-2.0 * var)
 
 
-@dataclass(frozen=True)
-class RandomPatternSigma:
-    """E over uniformly random patterns of sigma_1^2, plus its scale ratio.
-
-    ``ratio_to_scale`` divides the normalized value by n / sqrt(m), the
-    growth rate it is expected to track.
-    """
-
-    value: LogNum
-    ratio_to_scale: float
-
-
-def random_pattern_expected_sigma1(dist: SourceDist, n: int, m: int) -> RandomPatternSigma:
-    """Average sigma_1^2 when the m pattern letters are drawn i.i.d. from dist.
+def random_pattern_expected_sigma1(dist: SourceDist, n: int, m: int) -> float:
+    """Average of sigma_1^2 / C(n-1, m-1)^2 over patterns of m i.i.d. letters.
 
     Averaging tau_i^2 over the pattern collapses to
-    A_1 * C(n-1, m-1)^2 * sum_{i,j} pi(i,j)^2 with A_1 = sum_a (1 - p_a).
+    A_1 * sum_{i,j} pi(i,j)^2 with A_1 = sum_a (1 - p_a).  The occupancy
+    matrix is one block of n rows, so the double sum is one numpy sum
+    over all of its entries.
     """
-    if not (1 <= m <= n):
-        raise ValueError("need 1 <= m <= n")
+    rows = occupancy_rows(n, m, 1, n)
     a1 = float(sum(p * (1.0 / p - 1.0) for p in dist.probs))
-    pi_sq = 0.0
-    for i in range(1, n + 1):
-        row = pi_row(i, n, m)
-        pi_sq += float(np.dot(row, row))
-    value = LogNum.from_float(a1 * pi_sq) * log_binomial(n - 1, m - 1).pow_int(2)
-    return RandomPatternSigma(value, a1 * pi_sq / (n / math.sqrt(m)))
+    return a1 * float((rows * rows).sum())
 
 
 @dataclass(frozen=True)
@@ -355,17 +335,12 @@ class MomentReport:
         }
 
 
-def moment_report(
-    dist: SourceDist,
-    pattern: Pattern,
-    n: int,
-    normal_ratio_threshold: float = NORMAL_RATIO_THRESHOLD,
-) -> MomentReport:
+def moment_report(dist: SourceDist, pattern: Pattern, n: int) -> MomentReport:
     """Assemble the moment summary used by the CLI and the experiment gates.
 
     regime_hint is "normal_proved" when m^2 C(n-1, m-1)^2 / sigma_1^2 is at
-    most the threshold, since then the residual bound forces the count to
-    be asymptotically normal; otherwise "unresolved".
+    most NORMAL_RATIO_THRESHOLD, since then the residual bound forces the
+    count to be asymptotically normal; otherwise "unresolved".
     """
     m = pattern.length
     s1n = sigma1_sq_normalized(dist, pattern, n)
@@ -383,5 +358,5 @@ def moment_report(
         residual=residual_bound(dist, n, m),
         lk_lower=lk_lower_bound(dist, pattern, n),
         ratio_condition=ratio,
-        regime_hint="normal_proved" if ratio <= normal_ratio_threshold else "unresolved",
+        regime_hint="normal_proved" if ratio <= NORMAL_RATIO_THRESHOLD else "unresolved",
     )

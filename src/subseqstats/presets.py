@@ -30,9 +30,8 @@ import numpy as np
 from .moments import (
     alternating_tau_int,
     binomial_exact,
-    log_binomial,
-    pi_row,
-    sigma1_sq_normalized,
+    occupancy_rows,
+    random_pattern_expected_sigma1,
 )
 from .simulation import (
     ExperimentConfig,
@@ -273,7 +272,7 @@ def preset_tllow_alternating(out_dir=None, workers=1, n_max=100):
 
 def random_pattern_sample_mean(dist, n, m, count, master_seed):
     """Sample mean and SE of sigma_1^2 / C^2 over random patterns."""
-    rows = np.vstack([pi_row(i, n, m) for i in range(1, n + 1)])
+    rows = occupancy_rows(n, m, 1, n)
     probs = np.asarray(dist.probs)
     vals = np.empty(count)
     for k in range(count):
@@ -290,9 +289,7 @@ def preset_tlrandom_scaling(out_dir=None, workers=1, patterns=2000, master_seed=
     """Random-pattern average of sigma_1^2: closed form vs sampling, plus scaling."""
     dist = SourceDist(_BINARY, (0.5, 0.5))
     n, m = 200, 16
-    rows = np.vstack([pi_row(i, n, m) for i in range(1, n + 1)])
-    a1 = float(sum(p * (1.0 / p - 1.0) for p in dist.probs))
-    formula = a1 * float((rows * rows).sum())
+    formula = random_pattern_expected_sigma1(dist, n, m)
     mean, se = random_pattern_sample_mean(dist, n, m, patterns, master_seed)
     dev = abs(mean - formula) / se
     ratios = {}
@@ -302,8 +299,7 @@ def preset_tlrandom_scaling(out_dir=None, workers=1, patterns=2000, master_seed=
         mm = math.isqrt(nn)
         if mm * mm < nn:
             mm += 1
-        rr = np.vstack([pi_row(i, nn, mm) for i in range(1, nn + 1)])
-        ratio = a1 * float((rr * rr).sum()) * math.sqrt(mm) / nn
+        ratio = random_pattern_expected_sigma1(dist, nn, mm) * math.sqrt(mm) / nn
         ratios[f"n={nn},m={mm}"] = ratio
         in_band = in_band and (lo <= ratio <= hi)
     gates = [

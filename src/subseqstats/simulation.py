@@ -110,7 +110,6 @@ class ExperimentConfig:
     master_seed: int
     regime: str
     standardization: str = "theoretical"
-    zero_skip_limit: float = ZERO_SKIP_LIMIT
     gap_factor: float = LOGNORMAL_GAP_FACTOR
 
     def __post_init__(self):
@@ -239,7 +238,7 @@ def _summarize(
     support (None off a lattice); ``skipped`` zero-count trials were dropped.
     """
     size = values.size
-    conforming = skipped == 0 or skipped / cfg.trials <= cfg.zero_skip_limit
+    conforming = skipped / cfg.trials <= ZERO_SKIP_LIMIT
     crit = ks_critical(max(size, 1))
     ks = ks_statistic(values, atoms) if size >= 2 else None
     summary = SimSummary(

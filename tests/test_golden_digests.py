@@ -2,7 +2,8 @@
 
 Every case is a small pinned run whose output files (or stdout, for
 ``channel-mi``) must stay byte-identical across refactors of the letter
-sampler, the count kernel and the summaries.  A change that alters one
+sampler, the count kernel and the summaries.  The moment layer is pinned
+the same way, by the exact bits of sigma_1^2 / C(n-1, m-1)^2.  A change that alters one
 of these digests changes program output; it re-pins the digest and says
 why in CHANGES.md.
 """
@@ -12,9 +13,10 @@ import hashlib
 import pytest
 
 from subseqstats.cli import main
+from subseqstats.moments import sigma1_sq_normalized
 from subseqstats.presets import run_preset
 from subseqstats.simulation import ExperimentConfig, PatternSpec, run_normal_experiment
-from subseqstats.source_model import Alphabet, SourceDist
+from subseqstats.source_model import Alphabet, Pattern, SourceDist
 
 
 def _sha(data: bytes) -> str:
@@ -145,3 +147,34 @@ def test_every_preset_digest(name, tmp_path):
         files += sorted(tmp_path.glob("seed_*/*/samples.csv"))
         assert len(files) == 5
     assert _sha(b"".join(f.read_bytes() for f in files)) == PRESET_DIGESTS[name]
+
+
+_SKEWED = SourceDist(Alphabet.from_string("ab"), (0.7, 0.3))
+_BIASED = SourceDist(Alphabet.from_string("ab"), (0.6, 0.4))
+_THREE = SourceDist(Alphabet.from_string("abc"), (0.5, 0.3, 0.2))
+_FIVE = SourceDist(Alphabet.from_string("abcde"), (0.35, 0.25, 0.2, 0.12, 0.08))
+
+# name -> (dist, pattern, n); at p_a = 1/2 the a^m values are exactly n, so
+# the constant pattern uses a skewed source
+SIGMA1_CASES = {
+    "a300_n10000": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 300), 10_000),
+    "a20b20_n4000": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 20 + "b" * 20), 4000),
+    "aba_n2000": (_BIASED, Pattern.from_string(_BIASED, "aba"), 2000),
+    "random3_m12_n1500": (_THREE, PatternSpec.random(12, 77).resolve(_THREE), 1500),
+    "random5_m60_n3000": (_FIVE, PatternSpec.random(60, 5).resolve(_FIVE), 3000),
+    "m_equals_n": (_FIVE, Pattern.from_string(_FIVE, "edcbaabcde"), 10),
+}
+
+SIGMA1_HEX = {
+    "a300_n10000": "0x1.0bdb6db6db8e2p+12",
+    "a20b20_n4000": "0x1.24e5f51285e1ap+12",
+    "aba_n2000": "0x1.bd8ea63e3d55ap+7",
+    "random3_m12_n1500": "0x1.c52f86ee0a066p+9",
+    "random5_m60_n3000": "0x1.4f2c57c54b072p+10",
+    "m_equals_n": "0x1.bb0c30c30c30dp+5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA1_CASES))
+def test_sigma1_normalized_bits(name):
+    assert sigma1_sq_normalized(*SIGMA1_CASES[name]).hex() == SIGMA1_HEX[name]

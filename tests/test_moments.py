@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
 from conftest import AB, binary_dist, make_pattern
@@ -20,7 +22,7 @@ from subseqstats.moments import (
     lk_lower_bound,
     log_binomial,
     moment_report,
-    pi_row,
+    occupancy_rows,
     random_pattern_expected_sigma1,
     residual_bound,
     sigma1_sq,
@@ -93,12 +95,13 @@ def test_coeff_c_edge_and_symmetry():
             assert coeff_c_exact(i, j, n, m) == coeff_c_exact(n + 1 - i, m + 1 - j, n, m)
 
 
-def test_pi_row_is_shifted_hypergeometric():
+def test_occupancy_rows_are_shifted_hypergeometric():
     n, m = 20, 5
     c_total = binomial_exact(n - 1, m - 1)
+    rows = occupancy_rows(n, m, 1, n)
+    assert rows.shape == (n, m)
     for i in (1, 7, 10, 20):
-        row = pi_row(i, n, m)
-        assert row.shape == (m,)
+        row = rows[i - 1]
         assert row.min() >= 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         exact = np.array(
@@ -109,15 +112,40 @@ def test_pi_row_is_shifted_hypergeometric():
         # j - 1 follows a hypergeometric law with population n-1, i-1 marked
         pmf = hypergeom.pmf(np.arange(m), n - 1, i - 1, m - 1)
         assert np.allclose(row, pmf, rtol=1e-8, atol=1e-12)
-    assert pi_row(1, n, m)[0] == pytest.approx(1.0)
-    assert np.all(pi_row(1, n, m)[1:] == 0.0)
+        assert np.array_equal(occupancy_rows(n, m, i, i)[0], row)
+    assert rows[0, 0] == pytest.approx(1.0)
+    assert np.all(rows[0, 1:] == 0.0)
 
 
-def test_pi_row_extreme_tail_stability():
+def test_occupancy_rows_extreme_tail_stability():
     # mode-outward evaluation keeps far-tail rows normalized
-    row = pi_row(5000, 10_000, 300)
+    row = occupancy_rows(10_000, 300, 5000, 5000)[0]
     assert row.sum() == pytest.approx(1.0, abs=1e-9)
     assert row.min() >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_occupancy_rows_split_is_bit_equal(data):
+    n = data.draw(st.integers(1, 400), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    i_lo = data.draw(st.integers(1, n), label="i_lo")
+    i_hi = data.draw(st.integers(i_lo, n), label="i_hi")
+    k = data.draw(st.integers(i_lo, i_hi), label="k")
+    whole = occupancy_rows(n, m, i_lo, i_hi)
+    parts = [occupancy_rows(n, m, i_lo, k)]
+    if k < i_hi:
+        parts.append(occupancy_rows(n, m, k + 1, i_hi))
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize(
+    "n, m, i_lo, i_hi",
+    [(5, 0, 1, 1), (5, 6, 1, 1), (0, 0, 1, 1), (5, 2, 0, 3), (5, 2, 2, 6), (5, 2, 4, 3)],
+)
+def test_occupancy_rows_rejects_out_of_range(n, m, i_lo, i_hi):
+    with pytest.raises(ValueError):
+        occupancy_rows(n, m, i_lo, i_hi)
 
 
 # ---- per-position and total projection variance ----------------------------
@@ -140,10 +168,8 @@ def test_tau_sq_stable_float_matches_exact():
         p = make_pattern(word, dist)
         for i in range(1, n + 1):
             want = tau_sq_exact(i, dist, p, n)
-            got = tau_sq(i, dist, p, n, arithmetic="stable-float")
+            got = tau_sq(i, dist, p, n)
             assert got.to_float() == pytest.approx(float(want), rel=1e-11, abs=1e-11)
-            exact_route = tau_sq(i, dist, p, n, arithmetic="exact")
-            assert exact_route.to_float() == pytest.approx(float(want), rel=1e-11)
 
 
 def test_sigma1_small_case(dist):
@@ -275,15 +301,18 @@ def test_random_pattern_sigma_m_one():
     for dist in (binary_dist(0.5), binary_dist(0.3)):
         a1 = sum(p * (1.0 / p - 1.0) for p in dist.probs)
         assert a1 == pytest.approx(dist.alphabet.size - 1)
-        got = random_pattern_expected_sigma1(dist, 25, 1)
-        assert got.value.to_float() == pytest.approx(a1 * 25, rel=1e-10)
+        assert random_pattern_expected_sigma1(dist, 25, 1) == pytest.approx(a1 * 25, rel=1e-10)
 
 
-def test_random_pattern_sigma_ratio_field(dist):
+def test_random_pattern_sigma_hypergeometric_oracle(dist):
+    # sum_{i,j} pi(i, j)^2 with row i the law of j - 1 ~ Hypergeom(n-1, i-1, m-1)
     n, m = 200, 16
-    got = random_pattern_expected_sigma1(dist, n, m)
-    normalized = math.exp(got.value.ln_value() - 2 * log_binomial(n - 1, m - 1).ln_value())
-    assert got.ratio_to_scale == pytest.approx(normalized * math.sqrt(m) / n, rel=1e-10)
+    a1 = sum(p * (1.0 / p - 1.0) for p in dist.probs)
+    pmf_sq = sum(
+        float((hypergeom.pmf(np.arange(m), n - 1, i - 1, m - 1) ** 2).sum())
+        for i in range(1, n + 1)
+    )
+    assert random_pattern_expected_sigma1(dist, n, m) == pytest.approx(a1 * pmf_sq, rel=1e-10)
 
 
 # ---- the assembled report --------------------------------------------------
