@@ -1,47 +1,38 @@
-"""Signed log-space reals.
+"""Nonnegative log-space reals.
 
 Binomial counts C(n, m), normalized occurrence counts and their variances
 overflow doubles long before the text lengths of interest, so every
-quantity that can get that large is carried as a pair (sign, ln|x|).
-Addition of opposite-sign values factors out the larger magnitude and
-feeds the remainder through log1p; when the two magnitudes agree to
-within ``CANCEL_EPS`` relative the result is declared zero and flagged,
-because past that point the difference carries no information at double
-precision.
+quantity that can get that large is carried as a pair (sign, ln x).  The
+quantities the projection method needs (E[Z] = C(n, m) p_w, sigma_1^2,
+the level and residual bounds) are nonnegative products of binomials and
+probabilities, so the type only multiplies, raises to integer powers and
+reads the log.  A negative input is rejected rather than represented.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-
-# relative gap below which an opposite-sign sum is treated as exact cancellation
-CANCEL_EPS = 1e-14
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class LogNum:
-    """A real number stored as (sign, ln of absolute value).
+    """A nonnegative real stored as (sign, ln of the value).
 
-    ``sign`` is -1, 0 or +1.  For sign 0 the stored ``ln_abs`` is
-    meaningless and normalized to 0.0.  ``cancelled`` marks zeros that
-    arose from catastrophic cancellation rather than from exact input.
+    ``sign`` is 0 for zero and 1 otherwise.  For sign 0 the stored
+    ``ln_abs`` is meaningless and normalized to 0.0.
     """
 
     sign: int
     ln_abs: float
-    cancelled: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
+        if self.sign not in (0, 1):
+            raise ValueError(f"sign must be 0 or 1, got {self.sign}")
         if self.sign == 0 and self.ln_abs != 0.0:
             object.__setattr__(self, "ln_abs", 0.0)
         if self.sign != 0 and math.isnan(self.ln_abs):
             raise ValueError("ln_abs must not be NaN for a nonzero value")
-
-    # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LogNum":
@@ -53,127 +44,44 @@ class LogNum:
 
     @classmethod
     def from_float(cls, x: float) -> "LogNum":
-        if x == 0.0:
-            return cls.zero()
-        if math.isinf(x) or math.isnan(x):
+        if math.isinf(x) or math.isnan(x) or x < 0.0:
             raise ValueError(f"cannot represent {x}")
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
+        return cls.zero() if x == 0.0 else cls(1, math.log(x))
 
     @classmethod
     def from_int(cls, k: int) -> "LogNum":
-        if k == 0:
-            return cls.zero()
+        if k < 0:
+            raise ValueError(f"cannot represent {k}")
         # math.log takes arbitrary-size ints without overflow
-        return cls(1 if k > 0 else -1, math.log(abs(k)))
+        return cls.zero() if k == 0 else cls(1, math.log(k))
 
     @classmethod
-    def from_fraction(cls, fr: Fraction) -> "LogNum":
-        if fr == 0:
-            return cls.zero()
-        sign = 1 if fr > 0 else -1
-        return cls(sign, math.log(abs(fr.numerator)) - math.log(fr.denominator))
-
-    @classmethod
-    def from_ln(cls, ln_abs: float, sign: int = 1) -> "LogNum":
-        if sign == 0:
-            return cls.zero()
-        return cls(sign, ln_abs)
-
-    # ---- queries ------------------------------------------------------
+    def from_ln(cls, ln_abs: float) -> "LogNum":
+        return cls(1, ln_abs)
 
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
 
     def to_float(self) -> float:
-        """Collapse to a double; overflows to +-inf for huge magnitudes."""
+        """Collapse to a double; overflows to +inf for huge magnitudes."""
         if self.sign == 0:
             return 0.0
         try:
-            mag = math.exp(self.ln_abs)
+            return math.exp(self.ln_abs)
         except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+            return math.inf
 
     def ln_value(self) -> float:
-        """ln of a nonnegative value; -inf for zero, error for negative."""
-        if self.sign < 0:
-            raise ValueError("ln_value undefined for a negative value")
-        if self.sign == 0:
-            return -math.inf
-        return self.ln_abs
-
-    # ---- arithmetic ---------------------------------------------------
-
-    def __neg__(self) -> "LogNum":
-        return LogNum(-self.sign, self.ln_abs, self.cancelled)
-
-    def __abs__(self) -> "LogNum":
-        return LogNum(abs(self.sign), self.ln_abs, self.cancelled)
+        """ln of the value; -inf for zero."""
+        return -math.inf if self.sign == 0 else self.ln_abs
 
     def __mul__(self, other: "LogNum") -> "LogNum":
         if self.sign == 0 or other.sign == 0:
             return LogNum.zero()
-        return LogNum(self.sign * other.sign, self.ln_abs + other.ln_abs)
-
-    def __truediv__(self, other: "LogNum") -> "LogNum":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by log-space zero")
-        if self.sign == 0:
-            return LogNum.zero()
-        return LogNum(self.sign * other.sign, self.ln_abs - other.ln_abs)
-
-    def __add__(self, other: "LogNum") -> "LogNum":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.ln_abs >= other.ln_abs:
-            big, small = self, other
-        else:
-            big, small = other, self
-        # ratio of magnitudes, in (0, 1]
-        r = math.exp(small.ln_abs - big.ln_abs)
-        if self.sign == other.sign:
-            return LogNum(big.sign, big.ln_abs + math.log1p(r))
-        if 1.0 - r <= CANCEL_EPS:
-            return LogNum(0, 0.0, cancelled=True)
-        return LogNum(big.sign, big.ln_abs + math.log1p(-r))
-
-    def __sub__(self, other: "LogNum") -> "LogNum":
-        return self + (-other)
+        return LogNum(1, self.ln_abs + other.ln_abs)
 
     def pow_int(self, k: int) -> "LogNum":
         if k < 0:
             raise ValueError("negative powers not supported")
-        if k == 0:
-            return LogNum.one()
-        if self.sign == 0:
-            return LogNum.zero()
-        sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
-        return LogNum(sign, self.ln_abs * k)
-
-    def sqrt(self) -> "LogNum":
-        if self.sign < 0:
-            raise ValueError("sqrt of a negative value")
-        if self.sign == 0:
-            return LogNum.zero()
-        return LogNum(1, self.ln_abs / 2.0)
-
-    # ---- ordering -----------------------------------------------------
-
-    def _key(self):
-        # (sign, sign * ln_abs) orders negatives below zero below positives
-        return (self.sign, self.sign * self.ln_abs)
-
-    def __lt__(self, other: "LogNum") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LogNum") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "LogNum") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "LogNum") -> bool:
-        return self._key() >= other._key()
+        return LogNum.one() if k == 0 else LogNum(self.sign, self.ln_abs * k)

@@ -58,10 +58,9 @@ def _require_exact_range(n: int) -> None:
 
 
 def expected_count(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
-    """E[Z] = C(n, m) * p_w in log space."""
-    if n < pattern.length:
-        raise ValueError("text length n must be at least the pattern length")
-    return log_binomial(n, pattern.length) * LogNum.from_ln(pattern.log_pw)
+    """E[Z] = C(n, m) * p_w in log space, with p_w taken from ``dist``."""
+    _check_pair(dist, pattern, n)
+    return log_binomial(n, pattern.length) * LogNum.from_ln(dist.ln_prob(pattern.word))
 
 
 def expected_count_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
@@ -342,6 +341,7 @@ def moment_report(dist: SourceDist, pattern: Pattern, n: int) -> MomentReport:
     most NORMAL_RATIO_THRESHOLD, since then the residual bound forces the
     count to be asymptotically normal; otherwise "unresolved".
     """
+    _check_pair(dist, pattern, n)
     m = pattern.length
     s1n = sigma1_sq_normalized(dist, pattern, n)
     scale = log_binomial(n - 1, m - 1).pow_int(2)

@@ -193,8 +193,8 @@ TRIAL_PRESETS = {
 }
 
 
-def _run_trial_preset(name: str, out_dir=None, workers=1, trials=None, seeds=None) -> PresetReport:
-    """Run one row of ``TRIAL_PRESETS``; ``workers`` is accepted and has no effect.
+def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None) -> PresetReport:
+    """Run one row of ``TRIAL_PRESETS``.
 
     ln Z is collected once per seed and summarized on every route of the
     row, then the row's gates are applied.
@@ -236,7 +236,7 @@ preset_eaaa_dichotomy = partial(_run_trial_preset, "eaaa_dichotomy")
 preset_cor_random_normal = partial(_run_trial_preset, "cor_random_normal")
 
 
-def preset_tllow_alternating(out_dir=None, workers=1, n_max=100):
+def preset_tllow_alternating(out_dir=None, n_max=100):
     """sigma_1^2 <= 10 (n/m) C(n-1, m-1)^2 for alternating patterns, exact sweep.
 
     For the alternating pattern over a uniform binary source,
@@ -285,7 +285,7 @@ def random_pattern_sample_mean(dist, n, m, count, master_seed):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
-def preset_tlrandom_scaling(out_dir=None, workers=1, patterns=2000, master_seed=424242):
+def preset_tlrandom_scaling(out_dir=None, patterns=2000, master_seed=424242):
     """Random-pattern average of sigma_1^2: closed form vs sampling, plus scaling."""
     dist = SourceDist(_BINARY, (0.5, 0.5))
     n, m = 200, 16
@@ -332,7 +332,7 @@ PRESETS = {
     "cor_random_normal": preset_cor_random_normal,
 }
 
-# keywords each preset takes besides out_dir and workers
+# keywords each preset takes besides out_dir
 _OVERRIDES = {
     **dict.fromkeys(TRIAL_PRESETS, {"trials", "seeds"}),
     "tllow_alternating": {"n_max"},

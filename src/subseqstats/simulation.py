@@ -281,7 +281,7 @@ def normal_scale_factors(dist: SourceDist, pattern: Pattern, n: int) -> tuple[fl
     if s1n <= 0.0:
         raise ValueError("sigma_1 is zero for this instance; nothing to standardize")
     ln_sigma1 = 0.5 * math.log(s1n) + log_binomial(n - 1, pattern.length - 1).ln_value()
-    return ln_ez, pattern.log_pw + ln_sigma1
+    return ln_ez, dist.ln_prob(pattern.word) + ln_sigma1
 
 
 def summarize_normal(
@@ -393,6 +393,8 @@ def lasn_consistency_check(
     """Run both standardizations on shared constant-pattern samples."""
     if not (0.0 < p_a < 1.0):
         raise ValueError("p_a must lie strictly in (0, 1)")
+    if trials < 2:
+        raise ValueError("a KS statistic needs at least 2 trials")
     dist = SourceDist(Alphabet.from_string("ab"), (p_a, 1.0 - p_a))
     cfg = ExperimentConfig(dist, PatternSpec.constant(0, m), n, trials, master_seed, "lognormal")
     pattern = cfg.pattern_spec.resolve(dist)

@@ -93,6 +93,10 @@ class SourceDist:
         k = alphabet.size
         return cls(alphabet, tuple(1.0 / k for _ in range(k)))
 
+    def ln_prob(self, word) -> float:
+        """ln p_w: the log-probability that len(word) independent letters spell word."""
+        return sum(math.log(self.probs[j]) for j in word)
+
     @property
     def min_prob(self) -> float:
         return min(self.probs)
@@ -120,16 +124,15 @@ class SourceDist:
 
 @dataclass(frozen=True)
 class Pattern:
-    """Fixed pattern word over an alphabet, with its match probability.
+    """Fixed pattern word over an alphabet.
 
-    ``log_pw`` is the log-probability that m independent letters spell
-    the word, i.e. the sum of letter log-probabilities.  ``symbol_counts``
-    holds, per alphabet symbol, the number of pattern positions using it.
+    ``symbol_counts`` holds, per alphabet symbol, the number of pattern
+    positions using it.  The match probability p_w depends on the source,
+    so it is read from one with ``SourceDist.ln_prob(pattern.word)``.
     """
 
     alphabet: Alphabet
     word: tuple[int, ...]
-    log_pw: float
     symbol_counts: tuple[int, ...]
 
     @classmethod
@@ -143,8 +146,7 @@ class Pattern:
         counts = [0] * k
         for j in word:
             counts[j] += 1
-        log_pw = sum(math.log(dist.probs[j]) for j in word)
-        return cls(dist.alphabet, word, log_pw, tuple(counts))
+        return cls(dist.alphabet, word, tuple(counts))
 
     @classmethod
     def from_string(cls, dist: SourceDist, s: str) -> "Pattern":

@@ -289,7 +289,7 @@ def test_08_hypergeometric_sign_bias_exhaustive():
 def t2a_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("t2a")
     t0 = time.time()
-    report = preset_t2a_normal(out_dir=out, workers=1, trials=100_000)
+    report = preset_t2a_normal(out_dir=out, trials=100_000)
     return report, out, time.time() - t0
 
 

@@ -72,6 +72,19 @@ def test_expected_count_values(dist):
         expected_count(dist, p, 1)
 
 
+def test_moments_read_p_w_from_the_source_passed_in():
+    # a pattern is a word; its p_w comes from the source it is evaluated under
+    even, skewed = binary_dist(0.5), binary_dist(0.7)
+    built_even, built_skewed = make_pattern("ab", even), make_pattern("ab", skewed)
+    assert expected_count(skewed, built_even, 10) == expected_count(skewed, built_skewed, 10)
+    assert expected_count(skewed, built_even, 10).to_float() == pytest.approx(9.45, rel=1e-12)
+    assert moment_report(skewed, built_even, 50) == moment_report(skewed, built_skewed, 50)
+    abc = make_pattern("abc", SourceDist.uniform(Alphabet.from_string("abc")))
+    for call in (expected_count, moment_report, sigma1_sq):
+        with pytest.raises(ValueError, match="different alphabets"):
+            call(skewed, abc, 50)
+
+
 def test_expected_count_monte_carlo_oracle():
     dist = binary_dist(0.3)
     p = make_pattern("aba", dist)
@@ -199,7 +212,7 @@ def test_sigma1_monte_carlo_variance_oracle(dist):
         hi = min(lo + 4096, trials)
         letters = batch_letters(dist, n, seeds[lo:hi])
         z[lo:hi] = np.exp(batched_ln_counts(letters, p.word))
-    want = math.exp(p.log_pw) ** 2 * sigma1_sq(dist, p, n).to_float()
+    want = math.exp(dist.ln_prob(p.word)) ** 2 * sigma1_sq(dist, p, n).to_float()
     assert z.var(ddof=1) == pytest.approx(want, rel=0.05)
 
 

@@ -285,3 +285,8 @@ def test_lasn_divergence_when_spread_is_large():
     assert not rep.equivalence_expected
     assert rep.pass_log_route
     assert not rep.pass_count_route
+
+
+def test_lasn_rejects_fewer_than_two_trials():
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        lasn_consistency_check(2000, 5, 0.5, 1, 3)

@@ -65,7 +65,7 @@ def test_pattern_basics():
     assert p.length == 3
     assert not p.is_constant
     assert p.to_string() == "aba"
-    assert p.log_pw == pytest.approx(3 * math.log(0.5))
+    assert d.ln_prob(p.word) == pytest.approx(3 * math.log(0.5))
     assert p.proportions() == (Fraction(2, 3), Fraction(1, 3))
     assert Pattern.from_string(d, "bbb").is_constant
     with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ def test_pattern_basics():
 def test_pattern_log_pw_nonuniform():
     d = SourceDist(AB, (1.0 / 3.0, 2.0 / 3.0))
     p = Pattern.from_string(d, "aab")
-    assert p.log_pw == pytest.approx(2 * math.log(1 / 3) + math.log(2 / 3))
+    assert d.ln_prob(p.word) == pytest.approx(2 * math.log(1 / 3) + math.log(2 / 3))
 
 
 def test_proportion_distance_examples():
