@@ -204,7 +204,7 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
         raise ValueError("trials must be at least 1")
     n = cfg.n
     ln_p = [math.log(p) for p in cfg.dist.probs]
-    draw = _letter_sampler(cfg.dist)
+    draw = _letter_sampler(cfg.dist).draw
     total = 0.0
     total_sq = 0.0
     for lo in range(0, trials, BATCH_SIZE):

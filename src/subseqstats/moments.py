@@ -65,8 +65,7 @@ def expected_count(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
 
 def expected_count_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
     """Exact rational E[Z] for moderate n."""
-    if n < pattern.length:
-        raise ValueError("text length n must be at least the pattern length")
+    _check_pair(dist, pattern, n)
     _require_exact_range(n)
     probs = dist.rational_probs()
     pw = Fraction(1)
@@ -155,9 +154,8 @@ def tau_sq(i: int, dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
 def tau_sq_exact(i: int, dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
     """Exact rational tau_i^2 for moderate n."""
     _require_exact_range(n)
+    _check_pair(dist, pattern, n)
     m = pattern.length
-    if n < m:
-        raise ValueError("text length n must be at least the pattern length")
     probs = dist.rational_probs()
     sums = [0] * dist.alphabet.size
     for j in range(1, m + 1):
@@ -172,8 +170,9 @@ def sigma1_sq_normalized(dist: SourceDist, pattern: Pattern, n: int) -> float:
 
     Rows are built in blocks of about ``_TILE_CELLS`` entries; the
     per-position values are then added left to right by ``sum``, in the
-    same order whatever the block size.
+    same order whatever the block size.  A mismatched pair never enters the cache.
     """
+    _check_pair(dist, pattern, n)
     step = max(1, _TILE_CELLS // pattern.length)
     values = []
     for i_lo in range(1, n + 1, step):
@@ -183,7 +182,6 @@ def sigma1_sq_normalized(dist: SourceDist, pattern: Pattern, n: int) -> float:
 
 def sigma1_sq(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
     """Variance of the linear projection term, sum over i of tau_i^2."""
-    _check_pair(dist, pattern, n)
     total = sigma1_sq_normalized(dist, pattern, n)
     return LogNum.from_float(total) * log_binomial(n - 1, pattern.length - 1).pow_int(2)
 
@@ -341,7 +339,6 @@ def moment_report(dist: SourceDist, pattern: Pattern, n: int) -> MomentReport:
     most NORMAL_RATIO_THRESHOLD, since then the residual bound forces the
     count to be asymptotically normal; otherwise "unresolved".
     """
-    _check_pair(dist, pattern, n)
     m = pattern.length
     s1n = sigma1_sq_normalized(dist, pattern, n)
     scale = log_binomial(n - 1, m - 1).pow_int(2)

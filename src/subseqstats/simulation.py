@@ -15,7 +15,8 @@ and not the jumps every discrete sample has against a continuous CDF.
 
 Trial t always draws its text from the stream seed derived from
 (master_seed, t), batches have a fixed size, and samples are written
-sorted, so a run's output bytes depend only on its configuration.
+sorted, so a run's output bytes depend only on its configuration.  For
+a^m a trial counts N_a from its stream's uniforms and forms no letters.
 Trials run on one thread: a thread pool over batches measured slower
 than the serial loop.
 """
@@ -37,6 +38,7 @@ from .source_model import (
     Alphabet,
     Pattern,
     SourceDist,
+    _letter_sampler,
     batch_letters,
     derive_seed,
     generate_text,
@@ -212,20 +214,21 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
 
 
 def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
-    """ln Z per trial (-inf for zero counts), in fixed spans of BATCH_SIZE trials.
+    """ln Z per trial (-inf for zero counts).
 
+    For a^m, Z = C(N_a, m) with N_a counted from each trial's uniforms;
+    other patterns are counted in fixed spans of BATCH_SIZE texts.
     ``workers`` is accepted for compatibility and has no effect.
     """
+    seeds = [derive_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+    if pattern.is_constant:
+        count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
+        counts = [count(np.random.Generator(np.random.PCG64(s)), cfg.n, a) for s in seeds]
+        return _ln_binom_of_counts(np.array(counts), pattern.length)
     out = np.empty(cfg.trials)
     for lo in range(0, cfg.trials, BATCH_SIZE):
-        hi = min(lo + BATCH_SIZE, cfg.trials)
-        seeds = [derive_seed(cfg.master_seed, t) for t in range(lo, hi)]
-        letters = batch_letters(cfg.dist, cfg.n, seeds)
-        if pattern.is_constant:
-            counts = np.count_nonzero(letters == pattern.word[0], axis=1)
-            out[lo:hi] = _ln_binom_of_counts(counts, pattern.length)
-        else:
-            out[lo:hi] = batched_ln_counts(letters, pattern.word)
+        letters = batch_letters(cfg.dist, cfg.n, seeds[lo : lo + BATCH_SIZE])
+        out[lo : lo + BATCH_SIZE] = batched_ln_counts(letters, pattern.word)
     return out
 
 

@@ -4,7 +4,9 @@ Text letters are i.i.d. draws from a fixed distribution over a finite
 alphabet.  Symbols are handled as integer indices internally; strings
 appear only at construction and display time.  Generation is driven by a
 per-stream seed so that a master seed plus a trial index always yields
-the same text regardless of how trials are grouped into batches.
+the same text regardless of how trials are grouped into batches.  One
+sampler turns a stream's uniforms into letters, or into the count of one
+letter without forming the letters.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -205,7 +208,7 @@ class Text:
 
 # ---- sampling --------------------------------------------------------
 
-# alphabets up to this size use inverse-CDF search; larger ones an alias table
+# alphabets up to this size compare each uniform with the CDF; larger ones use an alias table
 _SCAN_MAX = 4
 
 
@@ -237,20 +240,35 @@ def _alias_tables(probs):
     return accept, alias
 
 
-def _letter_sampler(dist: SourceDist):
-    """``draw(rng, n)``: n int8 letter indices from n uniforms of ``rng``.
+class _Sampler(NamedTuple):
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    count: Callable[[np.random.Generator, int, int], int]
 
-    The inverse-CDF or alias tables are built here once, so a caller that
-    draws many texts from one source pays for them once.
+
+def _letter_sampler(dist: SourceDist) -> _Sampler:
+    """Letters, or the count of one letter, from n uniforms of a stream.
+
+    ``draw(rng, n)`` returns n int8 letters; ``count(rng, n, a)`` how many
+    of them are a, from the same uniforms but forming no letter.  Up to
+    ``_SCAN_MAX`` letters, U gives letter a iff cum[a-1] <= U < cum[a] for
+    the float CDF cum; the last letter also takes U >= cum[k-1], which
+    rounding can leave below 1.  Tables are built once per sampler.
     """
     k = dist.alphabet.size
     if k <= _SCAN_MAX:
         cum = np.cumsum(np.asarray(dist.probs))
 
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            idx = np.searchsorted(cum, rng.random(n), side="right")
-            np.minimum(idx, k - 1, out=idx)
-            return idx.astype(np.int8)
+            u = rng.random(n)
+            idx = (u >= cum[0]).view(np.int8)
+            for c in cum[1 : k - 1]:
+                idx += u >= c
+            return idx
+
+        def count(rng: np.random.Generator, n: int, a: int) -> int:
+            u = rng.random(n)
+            below = n if a == k - 1 else np.count_nonzero(u < cum[a])
+            return below - (np.count_nonzero(u < cum[a - 1]) if a else 0)
 
     else:
         accept, alias = _alias_tables(dist.probs)
@@ -262,7 +280,10 @@ def _letter_sampler(dist: SourceDist):
             frac = v - idx
             return np.where(frac < accept[idx], idx, alias[idx]).astype(np.int8)
 
-    return draw
+        def count(rng: np.random.Generator, n: int, a: int) -> int:
+            return np.count_nonzero(draw(rng, n) == a)
+
+    return _Sampler(draw, count)
 
 
 def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
@@ -270,7 +291,7 @@ def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Text(_letter_sampler(dist)(rng, n), dist.alphabet)
+    return Text(_letter_sampler(dist).draw(rng, n), dist.alphabet)
 
 
 def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
@@ -280,7 +301,7 @@ def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
     depend on how the seeds were grouped into batches.
     """
     seeds = list(stream_seeds)
-    draw = _letter_sampler(dist)
+    draw = _letter_sampler(dist).draw
     out = np.empty((len(seeds), n), dtype=np.int8)
     for row, s in enumerate(seeds):
         out[row] = draw(np.random.Generator(np.random.PCG64(int(s))), n)

@@ -15,8 +15,20 @@ import pytest
 from subseqstats.cli import main
 from subseqstats.moments import sigma1_sq_normalized
 from subseqstats.presets import run_preset
-from subseqstats.simulation import ExperimentConfig, PatternSpec, run_normal_experiment
-from subseqstats.source_model import Alphabet, Pattern, SourceDist
+from subseqstats.simulation import (
+    ExperimentConfig,
+    PatternSpec,
+    collect_ln_counts,
+    run_normal_experiment,
+)
+from subseqstats.source_model import (
+    Alphabet,
+    Pattern,
+    SourceDist,
+    batch_letters,
+    derive_seed,
+    generate_text,
+)
 
 
 def _sha(data: bytes) -> str:
@@ -178,3 +190,47 @@ SIGMA1_HEX = {
 @pytest.mark.parametrize("name", sorted(SIGMA1_CASES))
 def test_sigma1_normalized_bits(name):
     assert sigma1_sq_normalized(*SIGMA1_CASES[name]).hex() == SIGMA1_HEX[name]
+
+
+_FOUR = SourceDist.uniform(Alphabet.from_string("abcd"))
+_FOUR_SKEWED = SourceDist(Alphabet.from_string("abcd"), (0.1, 0.4, 0.2, 0.3))
+
+# 2 to 4 letters take the compare path, 5 the alias tables
+LETTER_DIGESTS = {
+    "ab": (_SKEWED, "88647dcc347215d999d60f1c1f58a62fbfcb17c40e144eb1d486b42bdf1ac84a"),
+    "abc": (_THREE, "6c1ce214d7c778ec252ef3de08517335f8a7d4e069c451ba7d6b893a2c80174b"),
+    "abcd": (_FOUR, "c7e750b44f486294c93780a3d4c778e2f4a49025f55d2cc2efe817f309ac560f"),
+    "abcde": (_FIVE, "d13447345235f853d1f9f8c2756f82694ec76b5d08fd09b6d8681c6da0ffd028"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_DIGESTS))
+def test_batch_letters_digest(name):
+    dist, digest = LETTER_DIGESTS[name]
+    block = batch_letters(dist, 700, [derive_seed(31, t) for t in range(24)])
+    assert _sha(block.tobytes()) == digest
+
+
+def test_generate_text_digest():
+    text = generate_text(_THREE, 5000, 2024)
+    assert _sha(text.letters.tobytes()) == (
+        "a1a7d7f9539bf7718ef1572d3552dd12ee0616f3f5dfdf7b735d9acb5cc96f2f"
+    )
+
+
+# ln Z of a^40 for every symbol in turn: the first, inner and last letter ranges
+CONSTANT_COUNT_DIGESTS = {
+    "abc": (_THREE, "ea6b0a983628652977d6d43fd340b06d4888c28010c88450c82668212e3cfa50"),
+    "abcd": (_FOUR_SKEWED, "b17336da66d2ccec1d966127c1d54ece50fb75ac98d502adcc890ec0dbda5c45"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_COUNT_DIGESTS))
+def test_constant_pattern_counts_digest(name):
+    dist, digest = CONSTANT_COUNT_DIGESTS[name]
+    blob = b""
+    for a in range(dist.alphabet.size):
+        spec = PatternSpec.constant(a, 40)
+        cfg = ExperimentConfig(dist, spec, 600, 500, 41 + a, "lognormal")
+        blob += collect_ln_counts(cfg, spec.resolve(dist)).tobytes()
+    assert _sha(blob) == digest

@@ -85,6 +85,26 @@ def test_moments_read_p_w_from_the_source_passed_in():
             call(skewed, abc, 50)
 
 
+_ABC_UNIFORM = SourceDist.uniform(Alphabet.from_string("abc"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, p: sigma1_sq_normalized(d, p, 50),
+        lambda d, p: expected_count_exact(d, p, 20),
+        lambda d, p: tau_sq_exact(1, d, p, 20),
+        lambda d, p: sigma1_sq_exact(d, p, 20),
+    ],
+    ids=["sigma1_sq_normalized", "expected_count_exact", "tau_sq_exact", "sigma1_sq_exact"],
+)
+def test_mismatched_alphabet_rejected(call):
+    # the word "ab" fits either alphabet, so only the pair check can catch it
+    pattern = make_pattern("ab", _ABC_UNIFORM)
+    with pytest.raises(ValueError, match="different alphabets"):
+        call(binary_dist(0.5), pattern)
+
+
 def test_expected_count_monte_carlo_oracle():
     dist = binary_dist(0.3)
     p = make_pattern("aba", dist)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conftest import AB, binary_dist
@@ -13,6 +15,7 @@ from subseqstats.source_model import (
     Pattern,
     SourceDist,
     Text,
+    _letter_sampler,
     batch_letters,
     derive_seed,
     generate_text,
@@ -181,3 +184,78 @@ def test_alias_sampling_path_frequencies():
     freqs = np.bincount(t.letters, minlength=5) / t.length
     assert np.allclose(freqs, d.probs, atol=0.006)
     assert np.array_equal(t.letters, generate_text(d, 200_000, 11).letters)
+
+
+# ---- the letter sampler's draw and count paths --------------------------------
+
+
+def _source(weights) -> SourceDist:
+    k = len(weights)
+    return SourceDist(Alphabet.from_string("abcde"[:k]), tuple(w / sum(weights) for w in weights))
+
+
+# float CDFs that end below 1.0: a uniform at or above cum[k-1] still maps to k-1
+_SHORT = [
+    SourceDist(Alphabet.from_string("abcde"[:k]), (1.0 / k,) * (k - 1) + (1.0 / k - 1e-13,))
+    for k in range(2, 6)
+]
+
+
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
+    short=st.sampled_from([None, *_SHORT]),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 400),
+)
+def test_count_matches_drawn_letters(weights, short, seed, n):
+    dist = short or _source(weights)
+    k = dist.alphabet.size
+    sampler = _letter_sampler(dist)
+    letters = sampler.draw(_generator(seed), n)
+    assert letters.dtype == np.int8 and letters.shape == (n,)
+    assert np.all((letters >= 0) & (letters < k))
+    for a in range(k):
+        assert sampler.count(_generator(seed), n, a) == np.count_nonzero(letters == a)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random(n)`` returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+@st.composite
+def _uniforms_at_the_edges(draw):
+    dist = draw(st.sampled_from(_SHORT))
+    cum = np.cumsum(np.asarray(dist.probs))
+    top = np.nextafter(1.0, 0.0)
+    edges = [0.0, top, *cum, *np.nextafter(cum, 0.0), *np.minimum(np.nextafter(cum, 1.0), top)]
+    u = draw(st.lists(st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    return dist, cum, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_uniforms_at_the_edges())
+def test_letters_and_counts_at_cdf_edges(case):
+    dist, cum, u = case
+    k = dist.alphabet.size
+    assert cum[-1] < 1.0
+    sampler = _letter_sampler(dist)
+    letters = sampler.draw(_FixedUniforms(u), len(u))
+    assert letters.dtype == np.int8 and np.all((letters >= 0) & (letters < k))
+    if k <= 4:
+        # inverse-CDF search with the top index clamped to the last letter
+        want = np.minimum(np.searchsorted(cum, np.asarray(u), side="right"), k - 1)
+        assert np.array_equal(letters, want)
+    for a in range(k):
+        assert sampler.count(_FixedUniforms(u), len(u), a) == np.count_nonzero(letters == a)
