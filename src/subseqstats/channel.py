@@ -28,7 +28,7 @@ import numpy as np
 from .counting import _float_counts
 from .moments import log_binomial
 from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, collect_ln_counts
-from .source_model import Pattern, SourceDist, _letter_sampler, derive_seed
+from .source_model import Pattern, SourceDist, _letter_sampler, derive_seed, stream_generators
 
 # exact enumeration walks all 2^n inputs and their 2^n subsets
 ENUM_N_LIMIT = 12
@@ -199,28 +199,34 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
     pair.  Each trial costs one count DP, so this route has no n cap.
     Trial t draws its input, then its deletion mask, from its own stream;
     BATCH_SIZE trials share one kernel call, one output word per row.
+    ln p_y is a running ``np.cumsum`` over the word's letter logs, so the
+    sum is taken left to right in every Python version (``sum`` over
+    floats is compensated from Python 3.12 on), and the per-trial terms
+    are added in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = cfg.n
-    ln_p = [math.log(p) for p in cfg.dist.probs]
+    ln_p = np.array([math.log(p) for p in cfg.dist.probs])
+    ln_binom = [log_binomial(n, k).ln_value() for k in range(n + 1)]
     draw = _letter_sampler(cfg.dist).draw
     total = 0.0
     total_sq = 0.0
     for lo in range(0, trials, BATCH_SIZE):
         inputs, outputs = [], []
-        for t in range(lo, min(lo + BATCH_SIZE, trials)):
-            gen = np.random.Generator(np.random.PCG64(derive_seed(master_seed, t)))
+        seeds = [derive_seed(master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, trials))]
+        for gen in stream_generators(seeds):
             inputs.append(draw(gen, n))
             outputs.append(inputs[-1][gen.random(n) >= cfg.d])
         words = np.full((len(outputs), max(y.size for y in outputs)), -1, dtype=np.int8)
         for row, y in enumerate(outputs):
             words[row, : y.size] = y
         z, shift = _float_counts(np.stack(inputs), words)
+        # ln p_y: the letter logs of each word added left to right, padding past its end
+        ln_py = np.cumsum(ln_p[words], axis=1)
         for row, y in enumerate(outputs):
             if y.size:  # an empty output carries zero information density
-                # ln E[Z] = ln C(n, |y|) + ln p_y, the letter logs summed in word order
-                ln_ez = log_binomial(n, y.size).ln_value() + sum(ln_p[j] for j in y.tolist())
+                ln_ez = ln_binom[y.size] + float(ln_py[row, y.size - 1])
                 val = (math.log(z[row]) + float(shift[row])) - ln_ez
                 total += val
                 total_sq += val * val

@@ -34,13 +34,14 @@ from .moments import (
     random_pattern_expected_sigma1,
 )
 from .simulation import (
+    BATCH_SIZE,
     ExperimentConfig,
     PatternSpec,
     collect_ln_counts,
     summarize_lognormal,
     summarize_normal,
 )
-from .source_model import Alphabet, SourceDist, derive_seed, generate_text
+from .source_model import Alphabet, SourceDist, batch_letters, derive_seed
 
 DEFAULT_SEEDS = (101, 211, 307, 401, 503)
 
@@ -275,13 +276,14 @@ def random_pattern_sample_mean(dist, n, m, count, master_seed):
     rows = occupancy_rows(n, m, 1, n)
     probs = np.asarray(dist.probs)
     vals = np.empty(count)
-    for k in range(count):
-        word = np.asarray(generate_text(dist, m, derive_seed(master_seed, k)).letters)
-        total = np.zeros(n)
-        for a in range(dist.alphabet.size):
-            s = rows @ (word == a).astype(float)
-            total += s * s / probs[a]
-        vals[k] = float(total.sum() - n)
+    for lo in range(0, count, BATCH_SIZE):
+        seeds = [derive_seed(master_seed, k) for k in range(lo, min(lo + BATCH_SIZE, count))]
+        for k, word in enumerate(batch_letters(dist, m, seeds), lo):
+            total = np.zeros(n)
+            for a in range(dist.alphabet.size):
+                s = rows @ (word == a).astype(float)
+                total += s * s / probs[a]
+            vals[k] = float(total.sum() - n)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 

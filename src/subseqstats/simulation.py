@@ -42,6 +42,7 @@ from .source_model import (
     batch_letters,
     derive_seed,
     generate_text,
+    stream_generators,
 )
 
 BATCH_SIZE = 4096
@@ -119,8 +120,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must lie in [0, 2^64)")
         if self.regime not in ("normal", "lognormal"):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.standardization not in ("theoretical", "empirical"):
@@ -216,20 +217,21 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
 def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
     """ln Z per trial (-inf for zero counts).
 
-    For a^m, Z = C(N_a, m) with N_a counted from each trial's uniforms;
-    other patterns are counted in fixed spans of BATCH_SIZE texts.
+    Trials run in fixed spans of BATCH_SIZE streams.  For a^m,
+    Z = C(N_a, m) with N_a counted from each trial's uniforms; other
+    patterns are counted on a span's letter block.
     ``workers`` is accepted for compatibility and has no effect.
     """
-    seeds = [derive_seed(cfg.master_seed, t) for t in range(cfg.trials)]
-    if pattern.is_constant:
-        count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
-        counts = [count(np.random.Generator(np.random.PCG64(s)), cfg.n, a) for s in seeds]
-        return _ln_binom_of_counts(np.array(counts), pattern.length)
-    out = np.empty(cfg.trials)
+    count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
+    out = np.empty(cfg.trials, dtype=np.int64 if pattern.is_constant else np.float64)
     for lo in range(0, cfg.trials, BATCH_SIZE):
-        letters = batch_letters(cfg.dist, cfg.n, seeds[lo : lo + BATCH_SIZE])
-        out[lo : lo + BATCH_SIZE] = batched_ln_counts(letters, pattern.word)
-    return out
+        seeds = [derive_seed(cfg.master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, cfg.trials))]
+        if pattern.is_constant:
+            out[lo : lo + BATCH_SIZE] = [count(rng, cfg.n, a) for rng in stream_generators(seeds)]
+        else:
+            letters = batch_letters(cfg.dist, cfg.n, seeds)
+            out[lo : lo + BATCH_SIZE] = batched_ln_counts(letters, pattern.word)
+    return _ln_binom_of_counts(out, pattern.length) if pattern.is_constant else out
 
 
 def _summarize(

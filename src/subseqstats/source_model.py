@@ -4,9 +4,11 @@ Text letters are i.i.d. draws from a fixed distribution over a finite
 alphabet.  Symbols are handled as integer indices internally; strings
 appear only at construction and display time.  Generation is driven by a
 per-stream seed so that a master seed plus a trial index always yields
-the same text regardless of how trials are grouped into batches.  One
-sampler turns a stream's uniforms into letters, or into the count of one
-letter without forming the letters.
+the same text regardless of how trials are grouped into batches.  The
+streams of a batch share one Generator, set to each seed's PCG64 start
+state, which a numpy port of ``SeedSequence`` computes.  One sampler
+turns a stream's uniforms into letters, or into the count of one letter
+without forming the letters.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:
@@ -26,8 +30,10 @@ def derive_seed(master_seed: int, stream_index: int) -> int:
 
     SplitMix64 finalizer on master + index * golden-ratio increment.
     Distinct indices give well-spread seeds even for master seeds that
-    differ by small amounts.
+    differ by small amounts.  Master seeds outside [0, 2^64) are rejected.
     """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
     if stream_index < 0:
         raise ValueError("stream_index must be nonnegative")
     x = (master_seed + (stream_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
@@ -286,11 +292,74 @@ def _letter_sampler(dist: SourceDist) -> _Sampler:
     return _Sampler(draw, count)
 
 
+def _hash_multipliers(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running multiplier of ``calls`` consecutive SeedSequence hashes, as a uint32 column."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+# 4 hashes fill SeedSequence's pool and 12 mix it; generate_state(4, uint64) hashes 8 words
+_POOL_HASH = _hash_multipliers(0x43B0D7E5, 0x931E8875, 16)
+_OUT_HASH = _hash_multipliers(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """numpy's hashmix, one row per call: h[i] and h[i + 1] are call i's multipliers."""
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _seed_sequence_words(seeds: list) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, one column per seed.
+
+    A port of numpy's ``SeedSequence`` (O'Neill's seed_seq_fe hash) on
+    uint32 arrays.  The entropy is the seed's two 32-bit words, low first
+    (numpy's pad for a seed below 2^32, hashmix(0), equals a zero high
+    word).  Seeds outside [0, 2^64) are rejected.
+    """
+    if seeds and (min(seeds) < 0 or max(seeds) > _MASK64):
+        raise ValueError("stream seeds must lie in [0, 2^64)")
+    s64 = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = s64 & 0xFFFFFFFF
+    pool[1] = s64 >> 32
+    pool = _hash(pool, _POOL_HASH[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src])
+        mixed = pool[dst] * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    words = _hash(np.tile(pool, (2, 1)), _OUT_HASH).astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)  # little-endian word pairs
+
+
+def stream_generators(seeds):
+    """Yield a Generator in the start state of numpy's PCG64 seeded with each seed in turn.
+
+    One Generator is reused, its state set before each yield, so a caller
+    takes all of a stream's draws before the next.  States are computed
+    256 seeds at a time, which keeps the state table small.
+    """
+    seeds = list(seeds)
+    gen = np.random.default_rng(0)
+    for lo in range(0, len(seeds), 256):
+        words = _seed_sequence_words(seeds[lo : lo + 256]).tolist()
+        for hi_state, lo_state, hi_seq, lo_seq in zip(*words):
+            # PCG64's seeding: two LCG steps from state 0, initstate added after the first
+            inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
+            state = ((inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc) & _MASK128
+            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
+            yield gen
+
+
 def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
     """Draw n i.i.d. letters; same (dist, n, seed) always gives the same text."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = next(stream_generators([seed]))
     return Text(_letter_sampler(dist).draw(rng, n), dist.alphabet)
 
 
@@ -303,8 +372,8 @@ def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
     seeds = list(stream_seeds)
     draw = _letter_sampler(dist).draw
     out = np.empty((len(seeds), n), dtype=np.int8)
-    for row, s in enumerate(seeds):
-        out[row] = draw(np.random.Generator(np.random.PCG64(int(s))), n)
+    for row, rng in enumerate(stream_generators(seeds)):
+        out[row] = draw(rng, n)
     return out
 
 

@@ -134,6 +134,12 @@ def test_mc_mutual_information_beyond_enumeration_cap():
     assert 0.0 < est.mi < 40 * math.log(2.0)
 
 
+def test_mc_rejects_master_seeds_outside_64_bits():
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError):
+            mc_mutual_information(cfg_for(0.5, 6, 0.5), 10, seed)
+
+
 def test_mc_validation():
     with pytest.raises(ValueError):
         mc_mutual_information(cfg_for(0.5, 6, 0.5), 0, 1)

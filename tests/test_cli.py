@@ -150,6 +150,14 @@ def test_channel_mi_mc_requires_seed(capsys):
     assert err.value.code == 2
 
 
+def test_channel_mi_mc_rejects_seeds_outside_64_bits(capsys):
+    base = ["channel-mi", "--n", "20", "--d", "0.3", "--probs", "0.5,0.5", "--method", "mc",
+            "--trials", "10", "--seed"]
+    for seed in ("-1", str(2**64)):
+        assert main(base + [seed]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_preset_gate_exit_codes(tmp_path, capsys):
     code, doc = run_cli(
         capsys, ["preset", "--name", "tllow_alternating", "--out", str(tmp_path)]

@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from subseqstats.channel import ChannelConfig, mc_mutual_information
 from subseqstats.cli import main
 from subseqstats.moments import sigma1_sq_normalized
 from subseqstats.presets import run_preset
@@ -119,6 +120,22 @@ def test_channel_mc_stdout_digest(name, capsys):
     capsys.readouterr()
     assert main(["channel-mi", "--method", "mc", *CHANNEL_CASES[name]]) == 0
     assert _sha(capsys.readouterr().out.encode()) == CHANNEL_DIGESTS[name]
+
+
+# name -> ((probs, n, d), trials, master seed, mi.hex(), stderr.hex()); at n=3,
+# d=0.9 most outputs are empty, and n=200, d=0.3 is the benchmark's channel shape
+CHANNEL_MC_HEX = {
+    "empty_outputs": (((0.3, 0.7), 3, 0.9), 500, 7, "0x1.bbde5e6559050p-5", "0x1.885379be5149ep-7"),
+    "n200_d03": (((0.5, 0.5), 200, 0.3), 400, 23, "0x1.affd2350354cep+4", "0x1.3bd5374082e51p-2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MC_HEX))
+def test_channel_mc_estimate_bits(name):
+    (probs, n, d), trials, seed, mi_hex, stderr_hex = CHANNEL_MC_HEX[name]
+    cfg = ChannelConfig(SourceDist(Alphabet.from_string("ab"), probs), n, d)
+    est = mc_mutual_information(cfg, trials, seed)
+    assert (est.mi.hex(), est.stderr.hex()) == (mi_hex, stderr_hex)
 
 
 def test_preset_report_digest(tmp_path):

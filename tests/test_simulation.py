@@ -99,6 +99,8 @@ def test_config_validation():
         make_cfg(standardization="bogus")
     with pytest.raises(ValueError):
         make_cfg(master_seed=-1)
+    with pytest.raises(ValueError):
+        make_cfg(master_seed=2**64 + 5)
 
 
 def test_random_pattern_spec_deterministic():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -16,10 +16,12 @@ from subseqstats.source_model import (
     SourceDist,
     Text,
     _letter_sampler,
+    _seed_sequence_words,
     batch_letters,
     derive_seed,
     generate_text,
     proportion_distance,
+    stream_generators,
 )
 
 
@@ -124,6 +126,53 @@ def test_derive_seed_spread_and_determinism():
     assert all(0 <= s < 2**64 for s in seeds)
     assert derive_seed(12345, 7) == derive_seed(12345, 7)
     assert derive_seed(12345, 7) != derive_seed(12346, 7)
+
+
+def test_derive_seed_rejects_master_seeds_outside_64_bits():
+    for master in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError):
+            derive_seed(master, 0)
+    assert derive_seed(2**64 - 1, 0) == derive_seed(2**64 - 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=1)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**64 - 1)
+def test_stream_state_matches_numpy_seeding(seed):
+    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    assert np.array_equal(_seed_sequence_words([seed])[:, 0], words)
+    gen = next(stream_generators([seed]))
+    want = np.random.PCG64(seed)
+    assert gen.bit_generator.state == want.state
+    assert np.array_equal(gen.random(64), np.random.Generator(want).random(64))
+
+
+def test_streams_of_one_batch_do_not_share_state():
+    seeds = [derive_seed(77, t) for t in range(3)]
+    streams = stream_generators(seeds)
+    first = next(streams)
+    # an odd number of 32-bit draws leaves half a 64-bit output buffered
+    first.integers(0, 2**32, size=3, dtype=np.uint32)
+    first.random(5)
+    for seed, gen in zip(seeds[1:], streams):
+        want = np.random.Generator(np.random.PCG64(seed))
+        assert np.array_equal(
+            gen.integers(0, 2**32, size=3, dtype=np.uint32),
+            want.integers(0, 2**32, size=3, dtype=np.uint32),
+        )
+        assert np.array_equal(gen.random(64), want.random(64))
+
+
+def test_stream_seeds_outside_64_bits_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            list(stream_generators([3, seed]))
+        with pytest.raises(ValueError):
+            generate_text(binary_dist(0.5), 10, seed)
 
 
 def test_generate_text_deterministic():
