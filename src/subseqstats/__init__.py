@@ -23,9 +23,9 @@ from .simulation import (
     ExperimentConfig,
     PatternSpec,
     SimSummary,
+    auto_regime,
     lasn_consistency_check,
-    run_lognormal_experiment,
-    run_normal_experiment,
+    run_experiment,
 )
 from .source_model import Alphabet, Pattern, SourceDist, Text, derive_seed, generate_text
 
@@ -41,6 +41,7 @@ __all__ = [
     "SimSummary",
     "SourceDist",
     "Text",
+    "auto_regime",
     "brute_force_count",
     "constant_pattern_count",
     "count_subsequences",
@@ -53,8 +54,7 @@ __all__ = [
     "lasn_consistency_check",
     "moment_report",
     "residual_bound",
-    "run_lognormal_experiment",
-    "run_normal_experiment",
+    "run_experiment",
     "sigma1_sq",
     "sigma1_sq_exact",
     "v_level",

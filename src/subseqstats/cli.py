@@ -39,13 +39,7 @@ from .moments import (
     sigma1_sq_exact,
 )
 from .presets import PRESETS, run_preset
-from .simulation import (
-    ExperimentConfig,
-    PatternSpec,
-    lognormal_parameters,
-    run_lognormal_experiment,
-    run_normal_experiment,
-)
+from .simulation import ExperimentConfig, PatternSpec, auto_regime, run_experiment
 from .source_model import Alphabet, Pattern, SourceDist, Text
 
 log = logging.getLogger("subseqstats")
@@ -161,26 +155,14 @@ def _parse_pattern_spec(raw: str, alphabet: Alphabet) -> PatternSpec:
         raise SystemExit2(f"bad pattern {raw!r}: {exc}")
 
 
-def _resolve_regime(args, dist: SourceDist, spec: PatternSpec) -> str:
-    if args.regime != "auto":
-        return args.regime
-    pattern = spec.resolve(dist)
-    if not pattern.is_constant:
-        return "normal"
-    p_a = dist.probs[pattern.word[0]]
-    if args.n * p_a <= pattern.length:
-        return "normal"
-    _, b_n = lognormal_parameters(args.n, pattern.length, p_a)
-    # below b = 0.1 the log-normal and normal descriptions coincide
-    return "lognormal" if b_n > 0.1 else "normal"
-
-
 def _cmd_simulate(args) -> int:
     probs = _parse_probs(args.probs)
     alphabet = _alphabet_for(probs, args.alphabet)
     dist = SourceDist(alphabet, probs)
     spec = _parse_pattern_spec(args.pattern, alphabet)
-    regime = _resolve_regime(args, dist, spec)
+    regime = args.regime
+    if regime == "auto":
+        regime = auto_regime(dist, spec.resolve(dist), args.n)
     log.info("simulate: regime=%s n=%d trials=%d seed=%d", regime, args.n, args.trials, args.seed)
     cfg = ExperimentConfig(
         dist,
@@ -191,12 +173,7 @@ def _cmd_simulate(args) -> int:
         regime,
         standardization=args.standardization,
     )
-    out = Path(args.out)
-    if regime == "normal":
-        summary = run_normal_experiment(cfg, out_dir=out)
-    else:
-        summary = run_lognormal_experiment(cfg, out_dir=out)
-    _emit(summary.to_dict())
+    _emit(run_experiment(cfg, out_dir=Path(args.out))[regime].to_dict())
     return 0
 
 

@@ -33,14 +33,7 @@ from .moments import (
     occupancy_rows,
     random_pattern_expected_sigma1,
 )
-from .simulation import (
-    BATCH_SIZE,
-    ExperimentConfig,
-    PatternSpec,
-    collect_ln_counts,
-    summarize_lognormal,
-    summarize_normal,
-)
+from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, run_experiment
 from .source_model import Alphabet, SourceDist, batch_letters, derive_seed
 
 DEFAULT_SEEDS = (101, 211, 307, 401, 503)
@@ -197,8 +190,8 @@ TRIAL_PRESETS = {
 def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None) -> PresetReport:
     """Run one row of ``TRIAL_PRESETS``.
 
-    ln Z is collected once per seed and summarized on every route of the
-    row, then the row's gates are applied.
+    Each seed is one ``run_experiment`` over the row's routes, then the
+    row's gates are applied.
     """
     row = TRIAL_PRESETS[name]
     trials = row.trials if trials is None else trials
@@ -208,15 +201,9 @@ def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None) -> Prese
     for seed in seeds:
         spec = replace(row.spec, pattern_seed=seed) if row.spec.kind == "random" else row.spec
         cfg = ExperimentConfig(dist, spec, row.n, trials, seed, row.routes[0], row.standardization)
-        pattern = spec.resolve(dist)
-        lnz = collect_ln_counts(cfg, pattern)
-        for route in row.routes:
-            sub = None
-            if out_dir is not None:
-                sub = Path(out_dir) / f"seed_{seed}"
-                sub = sub / route if len(row.routes) > 1 else sub
-            summarize = summarize_normal if route == "normal" else summarize_lognormal
-            summaries[route].append(summarize(cfg, pattern, lnz, sub))
+        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
+        for route, summary in run_experiment(cfg, row.routes, sub).items():
+            summaries[route].append(summary)
     gates = []
     for gate_name, route, statistic, threshold in row.gates:
         value_of, passes = _GATE_STATISTICS[statistic]
@@ -273,6 +260,8 @@ def preset_tllow_alternating(out_dir=None, n_max=100):
 
 def random_pattern_sample_mean(dist, n, m, count, master_seed):
     """Sample mean and SE of sigma_1^2 / C^2 over random patterns."""
+    if count < 2:
+        raise ValueError("a sample mean's standard error needs at least 2 patterns")
     rows = occupancy_rows(n, m, 1, n)
     probs = np.asarray(dist.probs)
     vals = np.empty(count)

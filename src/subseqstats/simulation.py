@@ -6,7 +6,8 @@ in log space: S = expm1(ln Z - ln E[Z]) * exp(ln E[Z] - ln(p_w sigma_1)),
 so no intermediate ever leaves double range.  The log-normal route, for
 constant patterns a^m with m well below n p_a, looks at
 T = (ln Z - ln C(n p_a, m)) / sqrt(b_n) with
-b_n = n * ln(1 - m/(n p_a))^2 * p_a (1 - p_a).
+b_n = n * ln(1 - m/(n p_a))^2 * p_a (1 - p_a).  ``run_experiment``
+collects ln Z once and summarizes it on each route it is asked for.
 
 For a^m the count is Z = C(N_a, m) with N_a ~ Binomial(n, p_a), so both
 routes take at most n + 1 values.  Their KS statistics are then taken on
@@ -51,8 +52,13 @@ KS_COEFF_5PCT = 1.358
 # more than this fraction of zero-count trials marks a log-normal run non-conforming
 ZERO_SKIP_LIMIT = 0.01
 
-# the log-normal parameterization needs n p_a - m >= gap_factor * sqrt(n)
+# the log-normal parameterization needs n p_a - m >= LOGNORMAL_GAP_FACTOR * sqrt(n)
 LOGNORMAL_GAP_FACTOR = 10.0
+
+# at or below this log-scale spread of a^m the log-normal and normal limits coincide
+EQUIVALENCE_SPREAD = 0.1
+
+ROUTES = ("normal", "lognormal")
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,6 @@ class ExperimentConfig:
     master_seed: int
     regime: str
     standardization: str = "theoretical"
-    gap_factor: float = LOGNORMAL_GAP_FACTOR
 
     def __post_init__(self):
         if self.n < 1:
@@ -122,7 +127,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must lie in [0, 2^64)")
-        if self.regime not in ("normal", "lognormal"):
+        if self.regime not in ROUTES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.standardization not in ("theoretical", "empirical"):
             raise ValueError(f"unknown standardization {self.standardization!r}")
@@ -210,7 +215,11 @@ def _ln_count_atoms(n: int, m: int) -> np.ndarray:
 
 def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
     """Recenter a sample by its mean and sd; map its support the same way."""
+    if x.size < 2:
+        raise ValueError("empirical standardization needs at least 2 kept trials")
     mu, sd = x.mean(), x.std(ddof=1)
+    if sd == 0.0:
+        raise ValueError("empirical standardization needs a sample with nonzero spread")
     return (x - mu) / sd, None if atoms is None else (atoms - mu) / sd
 
 
@@ -312,16 +321,6 @@ def summarize_normal(
     )
 
 
-def run_normal_experiment(cfg: ExperimentConfig, out_dir=None) -> SimSummary:
-    """Sample S = (Z - E[Z]) / (p_w sigma_1) and test it against N(0, 1)."""
-    if cfg.regime != "normal":
-        raise ValueError("config regime is not 'normal'")
-    pattern = cfg.pattern_spec.resolve(cfg.dist)
-    if cfg.n < pattern.length:
-        raise ValueError("text length n must be at least the pattern length")
-    return summarize_normal(cfg, pattern, collect_ln_counts(cfg, pattern), out_dir)
-
-
 def lognormal_parameters(n: int, m: int, p_a: float) -> tuple[float, float]:
     """(a_n, b_n): centering ln C(n p_a, m) and spread n ln(1 - m/(n p_a))^2 p_a (1 - p_a)."""
     np_a = n * p_a
@@ -341,17 +340,17 @@ def summarize_lognormal(
     n, m = cfg.n, pattern.length
     p_a = cfg.dist.probs[pattern.word[0]]
     a_n, b_n = lognormal_parameters(n, m, p_a)
-    if n * p_a - m < cfg.gap_factor * math.sqrt(n):
+    if n * p_a - m < LOGNORMAL_GAP_FACTOR * math.sqrt(n):
         raise ValueError(
-            f"log-normal route needs n p_a - m >= {cfg.gap_factor} sqrt(n); "
-            f"got gap {n * p_a - m:.1f} vs {cfg.gap_factor * math.sqrt(n):.1f}"
+            f"log-normal route needs n p_a - m >= {LOGNORMAL_GAP_FACTOR} sqrt(n); "
+            f"got gap {n * p_a - m:.1f} vs {LOGNORMAL_GAP_FACTOR * math.sqrt(n):.1f}"
         )
     keep = np.isfinite(lnz)
     used = lnz[keep]
     t_theo = (used - a_n) / math.sqrt(b_n)
     atoms = (_ln_count_atoms(n, m)[m:] - a_n) / math.sqrt(b_n)
     values = t_theo
-    if cfg.standardization == "empirical" and used.size >= 2:
+    if cfg.standardization == "empirical":
         values, atoms = _empirical_map(t_theo, atoms)
     return _summarize(
         cfg, pattern, "lognormal", values, atoms, int(lnz.size - used.size),
@@ -361,21 +360,48 @@ def summarize_lognormal(
     )
 
 
-def run_lognormal_experiment(cfg: ExperimentConfig, out_dir=None) -> SimSummary:
-    """Sample T = (ln Z - ln C(n p_a, m)) / sqrt(b_n) for a constant pattern."""
-    if cfg.regime != "lognormal":
-        raise ValueError("config regime is not 'lognormal'")
+def auto_regime(dist: SourceDist, pattern: Pattern, n: int) -> str:
+    """The route ``--regime auto`` takes: log-normal for a^m when its spread
+    b_n exceeds EQUIVALENCE_SPREAD and the route's gap precondition holds."""
+    if not pattern.is_constant:
+        return "normal"
+    p_a = dist.probs[pattern.word[0]]
+    if n * p_a - pattern.length < LOGNORMAL_GAP_FACTOR * math.sqrt(n):
+        return "normal"
+    _, b_n = lognormal_parameters(n, pattern.length, p_a)
+    return "lognormal" if b_n > EQUIVALENCE_SPREAD else "normal"
+
+
+def run_experiment(cfg: ExperimentConfig, routes=None, out_dir=None) -> dict[str, SimSummary]:
+    """Collect ln Z once and summarize it on each of ``routes``, in order.
+
+    ``routes`` defaults to ``(cfg.regime,)``.  One route writes its files
+    to ``out_dir``; with more, route r writes to ``out_dir/r``.
+    """
+    routes = (cfg.regime,) if routes is None else tuple(routes)
+    if not routes or set(routes) - set(ROUTES):
+        raise ValueError(f"routes must be drawn from {ROUTES}, got {routes}")
     pattern = cfg.pattern_spec.resolve(cfg.dist)
-    return summarize_lognormal(cfg, pattern, collect_ln_counts(cfg, pattern), out_dir)
+    if cfg.n < pattern.length:
+        raise ValueError("text length n must be at least the pattern length")
+    lnz = collect_ln_counts(cfg, pattern)
+    summaries = {}
+    for route in routes:
+        sub = out_dir
+        if out_dir is not None and len(routes) > 1:
+            sub = Path(out_dir) / route
+        summarize = summarize_normal if route == "normal" else summarize_lognormal
+        summaries[route] = summarize(cfg, pattern, lnz, sub)
+    return summaries
 
 
 @dataclass(frozen=True)
 class LasnReport:
     """Agreement of the two standardizations on one constant-pattern instance.
 
-    When b_asym = (1/p_a - 1) m^2 / n is small the log route and the
-    count route standardize to the same limit, so both KS statistics
-    should clear the same critical value.
+    When b_asym = (1/p_a - 1) m^2 / n is at most EQUIVALENCE_SPREAD the
+    log route and the count route standardize to the same limit, so both
+    KS statistics should clear the same critical value.
     """
 
     n: int
@@ -402,10 +428,7 @@ def lasn_consistency_check(
         raise ValueError("a KS statistic needs at least 2 trials")
     dist = SourceDist(Alphabet.from_string("ab"), (p_a, 1.0 - p_a))
     cfg = ExperimentConfig(dist, PatternSpec.constant(0, m), n, trials, master_seed, "lognormal")
-    pattern = cfg.pattern_spec.resolve(dist)
-    lnz = collect_ln_counts(cfg, pattern)
-    log_route = summarize_lognormal(cfg, pattern, lnz)
-    count_route = summarize_normal(cfg, pattern, lnz)
+    log_route, count_route = run_experiment(cfg, ("lognormal", "normal")).values()
     crit = ks_critical(trials)
     b_asym = (1.0 / p_a - 1.0) * m * m / n
     return LasnReport(
@@ -414,7 +437,7 @@ def lasn_consistency_check(
         p_a=p_a,
         trials=trials,
         b_asym=b_asym,
-        equivalence_expected=b_asym <= 0.1,
+        equivalence_expected=b_asym <= EQUIVALENCE_SPREAD,
         ks_log_route=log_route.ks_stat,
         ks_count_route=count_route.ks_stat,
         ks_critical_5pct=crit,

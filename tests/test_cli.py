@@ -128,6 +128,46 @@ def test_simulate_auto_regime_resolution(tmp_path, capsys):
     assert doc["pattern"] == "abab"
 
 
+def test_simulate_auto_regime_respects_lognormal_gap(tmp_path, capsys):
+    # b_n > 0.1, but n p_a - m = 45 is below 10 sqrt(n): the log-normal route
+    # would refuse this instance, so auto takes the normal one
+    code, doc = run_cli(
+        capsys,
+        [
+            "simulate",
+            "--n", "100",
+            "--pattern", "const:a,5",
+            "--probs", "0.5,0.5",
+            "--trials", "50",
+            "--seed", "1",
+            "--regime", "auto",
+            "--out", str(tmp_path),
+        ],
+    )
+    assert code == 0
+    assert doc["regime"] == "normal"
+
+
+def test_simulate_empirical_rejects_zero_spread(tmp_path, capsys):
+    # no text of length 3 among these 5 trials holds "aaa", so every Z is 0
+    code, doc = run_cli(
+        capsys,
+        [
+            "simulate",
+            "--n", "3",
+            "--pattern", "aaa",
+            "--probs", "0.5,0.5",
+            "--trials", "5",
+            "--seed", "3",
+            "--regime", "normal",
+            "--standardization", "empirical",
+            "--out", str(tmp_path / "out"),
+        ],
+    )
+    assert (code, doc) == (2, None)
+    assert not (tmp_path / "out").exists()
+
+
 def test_channel_mi_methods_agree(capsys):
     base = ["channel-mi", "--n", "6", "--d", "0.5", "--probs", "0.5,0.5"]
     _, counts = run_cli(capsys, base)

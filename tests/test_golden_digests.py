@@ -9,6 +9,8 @@ why in CHANGES.md.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
@@ -20,7 +22,8 @@ from subseqstats.simulation import (
     ExperimentConfig,
     PatternSpec,
     collect_ln_counts,
-    run_normal_experiment,
+    lasn_consistency_check,
+    run_experiment,
 )
 from subseqstats.source_model import (
     Alphabet,
@@ -43,7 +46,7 @@ def _simulate(out, *argv):
 def _random_pattern(out):
     dist = SourceDist(Alphabet.from_string("abc"), (0.5, 0.3, 0.2))
     cfg = ExperimentConfig(dist, PatternSpec.random(12, 77), 1500, 3000, 5, "normal")
-    run_normal_experiment(cfg, out_dir=out)
+    run_experiment(cfg, out_dir=out)
 
 
 # name -> run writing samples.csv and summary.json into the given directory
@@ -251,3 +254,46 @@ def test_constant_pattern_counts_digest(name):
         cfg = ExperimentConfig(dist, spec, 600, 500, 41 + a, "lognormal")
         blob += collect_ln_counts(cfg, spec.resolve(dist)).tobytes()
     assert _sha(blob) == digest
+
+
+# (n, m, p_a, trials, master seed) -> digest of the report's fields as sorted JSON
+LASN_DIGESTS = {
+    (100_000, 30, 0.5, 1200, 913): "be6c440391a32a5df3f21f34ef97806fda6475945b147ffb26505e06a7b6ed24",
+    (10_000, 300, 0.5, 1200, 913): "ad73ad96a09bf0d80375aebec772b244a54cd3e0078fb360773c90655f41baa8",
+    (2000, 5, 0.5, 300, 3): "4110543767df941a1abde1ccc088232d44465dc22e27e325eed9eb971f25447e",
+}
+
+
+@pytest.mark.parametrize("args", sorted(LASN_DIGESTS))
+def test_lasn_report_digest(args):
+    report = asdict(lasn_consistency_check(*args))
+    assert _sha(json.dumps(report, sort_keys=True).encode()) == LASN_DIGESTS[args]
+
+
+# a two-route preset writes seed_<s>/<route>/, a one-route preset seed_<s>/:
+# name -> (overrides, every file written in path order, digest of their bytes)
+PRESET_TREES = {
+    "tln_lognormal": (
+        {"trials": 400, "seeds": (101, 211)},
+        [
+            "report.json",
+            *(f"seed_{s}/{r}/{f}" for s in (101, 211) for r in ("lognormal", "normal")
+              for f in ("samples.csv", "summary.json")),
+        ],
+        "93c245d2dbc8bf301ba530e5d2a89732918d66d9519a238dc4ad12dbd1077853",
+    ),
+    "t2a_normal": (
+        {"trials": 500, "seeds": (149,)},
+        ["report.json", "seed_149/samples.csv", "seed_149/summary.json"],
+        "5c0690c2ae11af5b259e039ccae2312c87fa285919e51892c95b408866742a26",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_TREES))
+def test_preset_output_tree(name, tmp_path):
+    overrides, names, digest = PRESET_TREES[name]
+    run_preset(name, out_dir=tmp_path, **overrides)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert [f.relative_to(tmp_path).as_posix() for f in files] == names
+    assert _sha(b"".join(f.read_bytes() for f in files)) == digest

@@ -53,6 +53,13 @@ def test_random_pattern_scaling_preset():
     assert all(0.85 <= v <= 0.95 for v in ratios.values())
 
 
+def test_random_pattern_scaling_rejects_fewer_than_two_patterns():
+    # one pattern has no standard error, so the SE-unit gate would read nan
+    for patterns in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 patterns"):
+            run_preset("tlrandom_scaling", patterns=patterns)
+
+
 def test_dichotomy_preset_full_scale():
     # log-scale standardization passes while the count-scale one fails,
     # on the same collected samples, for at least 4 of 5 seeds

@@ -1,14 +1,17 @@
 """Monte Carlo engine: determinism, standardizations, regime diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from conftest import binary_dist
+from subseqstats import simulation
 from subseqstats.simulation import (
     ExperimentConfig,
+    auto_regime,
     _ln_count_atoms,
     PatternSpec,
     collect_ln_counts,
@@ -17,8 +20,7 @@ from subseqstats.simulation import (
     lasn_consistency_check,
     lognormal_parameters,
     normal_scale_factors,
-    run_lognormal_experiment,
-    run_normal_experiment,
+    run_experiment,
     summarize_normal,
 )
 
@@ -147,7 +149,7 @@ def test_normal_route_unbiasedness():
     cfg = make_cfg(
         pattern_spec=PatternSpec.explicit((0, 1, 0)), n=200, trials=20_000, master_seed=11
     )
-    summary = run_normal_experiment(cfg)
+    summary = run_experiment(cfg)["normal"]
     pat = cfg.pattern_spec.resolve(cfg.dist)
     ln_ez, ln_scale = normal_scale_factors(cfg.dist, pat, cfg.n)
     se = math.exp(ln_scale - ln_ez) / math.sqrt(cfg.trials)
@@ -156,15 +158,9 @@ def test_normal_route_unbiasedness():
     assert summary.trials_skipped_zero == 0
 
 
-def test_normal_route_regime_mismatch():
-    cfg = make_cfg(regime="lognormal")
-    with pytest.raises(ValueError):
-        run_normal_experiment(cfg)
-
-
 def test_single_trial_has_no_ks():
     cfg = make_cfg(trials=1)
-    summary = run_normal_experiment(cfg)
+    summary = run_experiment(cfg)["normal"]
     assert summary.ks_stat is None
     assert not summary.pass_normality
     d = summary.to_dict()
@@ -180,9 +176,51 @@ def test_empirical_standardization_centers_sample():
         standardization="empirical",
         master_seed=4,
     )
-    summary = run_normal_experiment(cfg)
+    summary = run_experiment(cfg)["normal"]
     assert summary.emp_mean == pytest.approx(0.0, abs=1e-12)
     assert summary.emp_var == pytest.approx(1.0, rel=1e-9)
+
+
+def test_empirical_standardization_rejects_one_kept_trial():
+    for regime, m in (("normal", 2), ("lognormal", 60)):
+        cfg = make_cfg(
+            pattern_spec=PatternSpec.constant(0, m), n=20_000, trials=1, regime=regime,
+            standardization="empirical",
+        )
+        with pytest.raises(ValueError, match="at least 2 kept trials"):
+            run_experiment(cfg)
+
+
+# ---- one runner, both routes -----------------------------------------------
+
+
+def test_run_experiment_routes_share_one_sample(tmp_path):
+    cfg = make_cfg(
+        pattern_spec=PatternSpec.constant(0, 30), n=5000, trials=300, master_seed=8,
+        regime="lognormal",
+    )
+    both = run_experiment(cfg, ("lognormal", "normal"), tmp_path / "both")
+    assert list(both) == ["lognormal", "normal"]
+    for route in ("lognormal", "normal"):
+        alone = run_experiment(replace(cfg, regime=route), out_dir=tmp_path / route)
+        assert alone[route] == both[route]
+        for name in ("samples.csv", "summary.json"):
+            assert (tmp_path / route / name).read_bytes() == (
+                tmp_path / "both" / route / name
+            ).read_bytes()
+
+
+def test_run_experiment_rejects_unknown_routes():
+    for routes in ((), ("normal", "poisson")):
+        with pytest.raises(ValueError, match="routes"):
+            run_experiment(make_cfg(), routes)
+
+
+def test_auto_regime_takes_normal_route_at_small_spread():
+    # a^5 at n = 10^4 meets the gap condition, but b_n = 0.0025: both limits coincide
+    dist = binary_dist(0.5)
+    assert auto_regime(dist, PatternSpec.constant(0, 5).resolve(dist), 10_000) == "normal"
+    assert auto_regime(dist, PatternSpec.constant(0, 300).resolve(dist), 10_000) == "lognormal"
 
 
 # ---- log-normal route ------------------------------------------------------
@@ -196,7 +234,7 @@ def test_lognormal_route_small_scale_passes():
         master_seed=913,
         regime="lognormal",
     )
-    summary = run_lognormal_experiment(cfg)
+    summary = run_experiment(cfg)["lognormal"]
     assert summary.pass_normality
     assert abs(summary.var_rel_err) < 0.10
     assert summary.trials_skipped_zero == 0
@@ -211,21 +249,21 @@ def test_lognormal_gap_precondition():
         regime="lognormal",
     )
     with pytest.raises(ValueError, match="sqrt"):
-        run_lognormal_experiment(cfg)
+        run_experiment(cfg)
 
 
-def test_lognormal_zero_skip_accounting():
+def test_lognormal_zero_skip_accounting(monkeypatch):
     # at n=30, m=10, p=1/2 about 5% of texts have too few a's, which
     # exceeds the 1% conforming limit; relax the gap gate to observe it
+    monkeypatch.setattr(simulation, "LOGNORMAL_GAP_FACTOR", 0.0)
     cfg = make_cfg(
         pattern_spec=PatternSpec.constant(0, 10),
         n=30,
         trials=2000,
         master_seed=3,
         regime="lognormal",
-        gap_factor=0.0,
     )
-    summary = run_lognormal_experiment(cfg)
+    summary = run_experiment(cfg)["lognormal"]
     assert summary.trials_skipped_zero > 0
     assert summary.trials_used + summary.trials_skipped_zero == summary.trials
     assert not summary.skips_conforming
@@ -235,7 +273,7 @@ def test_lognormal_zero_skip_accounting():
 def test_lognormal_requires_constant_pattern():
     cfg = make_cfg(pattern_spec=PatternSpec.explicit((0, 1)), regime="lognormal")
     with pytest.raises(ValueError, match="constant"):
-        run_lognormal_experiment(cfg)
+        run_experiment(cfg)
 
 
 def test_normal_route_must_fail_in_lognormal_regime():
@@ -248,7 +286,7 @@ def test_normal_route_must_fail_in_lognormal_regime():
         master_seed=101,
         regime="normal",
     )
-    summary = run_normal_experiment(cfg)
+    summary = run_experiment(cfg)["normal"]
     assert not summary.pass_normality
     assert summary.ks_stat > 5.0 * summary.ks_critical_5pct
 
