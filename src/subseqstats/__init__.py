@@ -8,7 +8,6 @@ regimes, and the deletion-channel mutual-information identity.
 
 from .counting import CountValue, brute_force_count, constant_pattern_count, count_subsequences
 from .decomposition import DecompositionReport, decompose, identity_checks, v_level
-from .lognum import LogNum
 from .moments import (
     MomentReport,
     expected_count,
@@ -34,7 +33,6 @@ __all__ = [
     "CountValue",
     "DecompositionReport",
     "ExperimentConfig",
-    "LogNum",
     "MomentReport",
     "Pattern",
     "PatternSpec",

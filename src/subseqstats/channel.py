@@ -28,7 +28,7 @@ import numpy as np
 from .counting import _float_counts
 from .moments import log_binomial
 from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, collect_ln_counts
-from .source_model import Pattern, SourceDist, _letter_sampler, derive_seed, stream_generators
+from .source_model import Pattern, SourceDist, _letter_sampler, derive_seed, left_sum, stream_generators
 
 # exact enumeration walks all 2^n inputs and their 2^n subsets
 ENUM_N_LIMIT = 12
@@ -117,11 +117,11 @@ def exact_mutual_information_direct(cfg: ChannelConfig) -> float:
             for subset in combinations(range(n), k):
                 z = tuple(x[i] for i in subset)
                 law[z] = law.get(z, 0.0) + mass
-        h_row = -sum(pz * math.log(pz) for pz in law.values())
+        h_row = -left_sum(pz * math.log(pz) for pz in law.values())
         h_out_given_in += p * h_row
         for z, pz in law.items():
             p_out[z] = p_out.get(z, 0.0) + p * pz
-    h_out = -sum(pz * math.log(pz) for pz in p_out.values())
+    h_out = -left_sum(pz * math.log(pz) for pz in p_out.values())
     return h_out - h_out_given_in
 
 
@@ -132,7 +132,7 @@ def conditional_row_sums(cfg: ChannelConfig) -> np.ndarray:
     g = [cfg.d ** (cfg.n - k) * (1.0 - cfg.d) ** k for k in range(cfg.n + 1)]
     sums = np.empty(len(texts))
     for idx, counts in enumerate(tables):
-        sums[idx] = sum(cnt * g[len(z)] for z, cnt in counts.items())
+        sums[idx] = left_sum(cnt * g[len(z)] for z, cnt in counts.items())
     return sums
 
 
@@ -208,7 +208,7 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
         raise ValueError("trials must be at least 1")
     n = cfg.n
     ln_p = np.array([math.log(p) for p in cfg.dist.probs])
-    ln_binom = [log_binomial(n, k).ln_value() for k in range(n + 1)]
+    ln_binom = [log_binomial(n, k) for k in range(n + 1)]
     draw = _letter_sampler(cfg.dist).draw
     total = 0.0
     total_sq = 0.0

@@ -11,7 +11,8 @@ has no effect.  Exit status is 0 on success,
 Conventions: probabilities parse as decimals and are re-rationalized
 where exact arithmetic needs them; exact integer counts print as
 decimal strings (arbitrary precision), exact rationals as "p/q"
-strings; log quantities print as {sign, ln_abs} with ln_abs null for
+strings; a count's ln prints as ``ln_count``, null for zero, and the
+log quantities of ``moments`` as {sign, ln_abs} with ln_abs null for
 zero.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -100,7 +102,7 @@ def _cmd_count(args) -> int:
             "n": text.length,
             "m": pattern.length,
             "count": None if result.exact is None else str(result.exact),
-            "ln_count": None if result.log_value.sign == 0 else result.log_value.ln_abs,
+            "ln_count": None if result.ln == -math.inf else result.ln,
         }
     )
     return 0

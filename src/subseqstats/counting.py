@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lognum import LogNum
 from .source_model import Pattern, Text
 
 # instances with C(n, m) above this are rejected by the brute-force oracle
@@ -40,14 +39,14 @@ _TILE_CELLS = 2**16
 
 @dataclass(frozen=True)
 class CountValue:
-    """Occurrence count with a log-space companion.
+    """Occurrence count and its ln (-inf for a zero count).
 
     ``exact`` is None when only the float route was run.  When both are
-    present they agree: ln(exact) == log_value.ln_abs to float precision.
+    present they agree: ln(exact) == ln to float precision.
     """
 
     exact: int | None
-    log_value: LogNum
+    ln: float
 
 
 def _check_compatible(text: Text, pattern: Pattern) -> None:
@@ -77,12 +76,10 @@ def count_subsequences(text: Text, pattern: Pattern, mode: str = "exact") -> Cou
             for j in by.get(x, ()):
                 state[j] += state[j - 1]
         z = state[m]
-        return CountValue(z, LogNum.from_int(z))
+        return CountValue(z, math.log(z) if z else -math.inf)
     if mode == "float":
         z, shift = _float_counts(text.letters[None, :], pattern.word)
-        if z[0] == 0.0:
-            return CountValue(None, LogNum.zero())
-        return CountValue(None, LogNum.from_ln(math.log(z[0]) + float(shift[0])))
+        return CountValue(None, math.log(z[0]) + float(shift[0]) if z[0] else -math.inf)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -115,7 +112,7 @@ def constant_pattern_count(text: Text, symbol: int, m: int) -> CountValue:
         raise ValueError("symbol index must be nonnegative")
     n_sym = int(np.count_nonzero(text.letters == symbol))
     z = math.comb(n_sym, m)
-    return CountValue(z, LogNum.from_int(z))
+    return CountValue(z, math.log(z) if z else -math.inf)
 
 
 def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:

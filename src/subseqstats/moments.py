@@ -23,8 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import _TILE_CELLS
-from .lognum import LogNum
-from .source_model import Pattern, SourceDist, proportion_distance
+from .source_model import Pattern, SourceDist, left_sum, proportion_distance
 
 # exact rational companions are supported up to this text length
 EXACT_N_LIMIT = 500
@@ -33,14 +32,18 @@ EXACT_N_LIMIT = 500
 NORMAL_RATIO_THRESHOLD = 0.01
 
 
-def log_binomial(n: int, k: int) -> LogNum:
-    """C(n, k) in log space; zero for k outside [0, n]."""
+def _ln(x: float) -> float:
+    """ln x for x >= 0, -inf for zero."""
+    return -math.inf if x == 0.0 else math.log(x)
+
+
+def log_binomial(n: int, k: int) -> float:
+    """ln C(n, k); -inf for k outside [0, n]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
-        return LogNum.zero()
-    ln = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return LogNum.from_ln(ln)
+        return -math.inf
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def binomial_exact(n: int, k: int) -> int:
@@ -57,10 +60,10 @@ def _require_exact_range(n: int) -> None:
         raise ValueError(f"exact rational route supports n <= {EXACT_N_LIMIT}, got {n}")
 
 
-def expected_count(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
-    """E[Z] = C(n, m) * p_w in log space, with p_w taken from ``dist``."""
+def expected_count(dist: SourceDist, pattern: Pattern, n: int) -> float:
+    """ln E[Z] = ln C(n, m) + ln p_w, with p_w taken from ``dist``."""
     _check_pair(dist, pattern, n)
-    return log_binomial(n, pattern.length) * LogNum.from_ln(dist.ln_prob(pattern.word))
+    return log_binomial(n, pattern.length) + dist.ln_prob(pattern.word)
 
 
 def expected_count_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
@@ -144,11 +147,11 @@ def _check_pair(dist: SourceDist, pattern: Pattern, n: int) -> None:
         raise ValueError("text length n must be at least the pattern length")
 
 
-def tau_sq(i: int, dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
-    """Variance contribution of text position i to the linear term."""
+def tau_sq(i: int, dist: SourceDist, pattern: Pattern, n: int) -> float:
+    """ln of the variance contribution of text position i to the linear term."""
     _check_pair(dist, pattern, n)
     r = float(_tau_sq_block(dist, pattern, n, i, i)[0])
-    return LogNum.from_float(r) * log_binomial(n - 1, pattern.length - 1).pow_int(2)
+    return _ln(r) + log_binomial(n - 1, pattern.length - 1) * 2
 
 
 def tau_sq_exact(i: int, dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
@@ -169,21 +172,21 @@ def sigma1_sq_normalized(dist: SourceDist, pattern: Pattern, n: int) -> float:
     """sigma_1^2 / C(n-1, m-1)^2 as a plain float.
 
     Rows are built in blocks of about ``_TILE_CELLS`` entries; the
-    per-position values are then added left to right by ``sum``, in the
-    same order whatever the block size.  A mismatched pair never enters the cache.
+    per-position values are then added left to right, in the same order
+    whatever the block size.  A mismatched pair never enters the cache.
     """
     _check_pair(dist, pattern, n)
     step = max(1, _TILE_CELLS // pattern.length)
     values = []
     for i_lo in range(1, n + 1, step):
         values += _tau_sq_block(dist, pattern, n, i_lo, min(i_lo + step - 1, n)).tolist()
-    return float(sum(values))
+    return left_sum(values)
 
 
-def sigma1_sq(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
-    """Variance of the linear projection term, sum over i of tau_i^2."""
+def sigma1_sq(dist: SourceDist, pattern: Pattern, n: int) -> float:
+    """ln of the variance of the linear projection term, sum over i of tau_i^2."""
     total = sigma1_sq_normalized(dist, pattern, n)
-    return LogNum.from_float(total) * log_binomial(n - 1, pattern.length - 1).pow_int(2)
+    return _ln(total) + log_binomial(n - 1, pattern.length - 1) * 2
 
 
 def sigma1_sq_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
@@ -194,28 +197,24 @@ def sigma1_sq_exact(dist: SourceDist, pattern: Pattern, n: int) -> Fraction:
     )
 
 
-def xi_bound(ell: int, dist: SourceDist, n: int, m: int) -> LogNum:
-    """Upper bound B^ell C(n, ell) C(n-ell, m-ell)^2 on the level-ell variance."""
+def xi_bound(ell: int, dist: SourceDist, n: int, m: int) -> float:
+    """ln of the bound B^ell C(n, ell) C(n-ell, m-ell)^2 on the level-ell variance."""
     if not (1 <= ell <= m <= n):
         raise ValueError("need 1 <= ell <= m <= n")
     b = dist.b_const
-    return (
-        LogNum.from_ln(ell * math.log(b))
-        * log_binomial(n, ell)
-        * log_binomial(n - ell, m - ell).pow_int(2)
-    )
+    return ell * math.log(b) + log_binomial(n, ell) + log_binomial(n - ell, m - ell) * 2
 
 
 @dataclass(frozen=True)
 class ResidualBound:
     """Bound on the variance beyond the linear term, with its applicability.
 
-    The closed form B^2 m^2 C(n-1, m-1)^2 only dominates the residual when
-    m <= sqrt(n / B); outside that region the value is still reported but
-    flagged as not applicable.
+    ``value`` is ln of the closed form B^2 m^2 C(n-1, m-1)^2, which only
+    dominates the residual when m <= sqrt(n / B); outside that region the
+    value is still reported but flagged as not applicable.
     """
 
-    value: LogNum
+    value: float
     applicable: bool
 
 
@@ -223,25 +222,20 @@ def residual_bound(dist: SourceDist, n: int, m: int) -> ResidualBound:
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
     b = dist.b_const
-    value = LogNum.from_float(b * b * m * m) * log_binomial(n - 1, m - 1).pow_int(2)
+    value = math.log(b * b * m * m) + log_binomial(n - 1, m - 1) * 2
     return ResidualBound(value, applicable=(m * m * b <= n))
 
 
-def lk_lower_bound(dist: SourceDist, pattern: Pattern, n: int) -> LogNum:
-    """Lower bound n ||q - p||^2 C(n-1, m-1)^2 on sigma_1^2.
+def lk_lower_bound(dist: SourceDist, pattern: Pattern, n: int) -> float:
+    """ln of the lower bound n ||q - p||^2 C(n-1, m-1)^2 on sigma_1^2.
 
     q is the vector of pattern letter proportions; the bound vanishes
-    exactly when the pattern uses letters in the source proportions.
+    (-inf) exactly when the pattern uses letters in the source proportions.
     """
     if n < pattern.length:
         raise ValueError("text length n must be at least the pattern length")
     d = proportion_distance(pattern, dist)
-    if d == 0.0:
-        return LogNum.zero()
-    return (
-        LogNum.from_float(n * d * d)
-        * log_binomial(n - 1, pattern.length - 1).pow_int(2)
-    )
+    return _ln(n * d * d) + log_binomial(n - 1, pattern.length - 1) * 2
 
 
 def alternating_tau_int(i: int, n: int, m: int) -> int:
@@ -291,8 +285,23 @@ def random_pattern_expected_sigma1(dist: SourceDist, n: int, m: int) -> float:
     over all of its entries.
     """
     rows = occupancy_rows(n, m, 1, n)
-    a1 = float(sum(p * (1.0 / p - 1.0) for p in dist.probs))
+    a1 = left_sum(p * (1.0 / p - 1.0) for p in dist.probs)
     return a1 * float((rows * rows).sum())
+
+
+@dataclass(frozen=True)
+class LogValue:
+    """A reported log-magnitude: ``ln`` of a nonnegative value, -inf for zero."""
+
+    ln: float
+
+    def ln_value(self) -> float:
+        return self.ln
+
+    def to_dict(self) -> dict:
+        """JSON shape {sign, ln_abs}: sign 0 and ln_abs null for zero."""
+        zero = self.ln == -math.inf
+        return {"sign": 0 if zero else 1, "ln_abs": None if zero else self.ln}
 
 
 @dataclass(frozen=True)
@@ -304,29 +313,27 @@ class MomentReport:
     pattern: str
     alphabet: str
     probs: tuple[float, ...]
-    expected: LogNum
-    sigma1_sq: LogNum
-    xi1_bound: LogNum
-    residual: ResidualBound
-    lk_lower: LogNum
+    expected: LogValue
+    sigma1_sq: LogValue
+    xi1_bound: LogValue
+    residual: LogValue
+    residual_applicable: bool
+    lk_lower: LogValue
     ratio_condition: float
     regime_hint: str
 
     def to_dict(self) -> dict:
-        def pair(v: LogNum) -> dict:
-            return {"sign": v.sign, "ln_abs": v.ln_abs if v.sign != 0 else None}
-
         return {
             "n": self.n,
             "m": self.m,
             "pattern": self.pattern,
             "alphabet": self.alphabet,
             "probs": list(self.probs),
-            "expected": pair(self.expected),
-            "sigma1_sq": pair(self.sigma1_sq),
-            "xi1_bound": pair(self.xi1_bound),
-            "residual_bound": pair(self.residual.value) | {"applicable": self.residual.applicable},
-            "lk_lower_bound": pair(self.lk_lower),
+            "expected": self.expected.to_dict(),
+            "sigma1_sq": self.sigma1_sq.to_dict(),
+            "xi1_bound": self.xi1_bound.to_dict(),
+            "residual_bound": self.residual.to_dict() | {"applicable": self.residual_applicable},
+            "lk_lower_bound": self.lk_lower.to_dict(),
             "ratio_condition": self.ratio_condition,
             "regime_hint": self.regime_hint,
         }
@@ -341,19 +348,20 @@ def moment_report(dist: SourceDist, pattern: Pattern, n: int) -> MomentReport:
     """
     m = pattern.length
     s1n = sigma1_sq_normalized(dist, pattern, n)
-    scale = log_binomial(n - 1, m - 1).pow_int(2)
     ratio = (m * m / s1n) if s1n > 0.0 else math.inf
+    residual = residual_bound(dist, n, m)
     return MomentReport(
         n=n,
         m=m,
         pattern=pattern.to_string(),
         alphabet="".join(dist.alphabet.symbols),
         probs=dist.probs,
-        expected=expected_count(dist, pattern, n),
-        sigma1_sq=LogNum.from_float(s1n) * scale,
-        xi1_bound=xi_bound(1, dist, n, m),
-        residual=residual_bound(dist, n, m),
-        lk_lower=lk_lower_bound(dist, pattern, n),
+        expected=LogValue(expected_count(dist, pattern, n)),
+        sigma1_sq=LogValue(sigma1_sq(dist, pattern, n)),
+        xi1_bound=LogValue(xi_bound(1, dist, n, m)),
+        residual=LogValue(residual.value),
+        residual_applicable=residual.applicable,
+        lk_lower=LogValue(lk_lower_bound(dist, pattern, n)),
         ratio_condition=ratio,
         regime_hint="normal_proved" if ratio <= NORMAL_RATIO_THRESHOLD else "unresolved",
     )

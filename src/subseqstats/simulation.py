@@ -290,11 +290,11 @@ def _summarize(
 
 def normal_scale_factors(dist: SourceDist, pattern: Pattern, n: int) -> tuple[float, float]:
     """(ln E[Z], ln(p_w sigma_1)) for the normal-route standardization."""
-    ln_ez = expected_count(dist, pattern, n).ln_value()
+    ln_ez = expected_count(dist, pattern, n)
     s1n = sigma1_sq_normalized(dist, pattern, n)
     if s1n <= 0.0:
         raise ValueError("sigma_1 is zero for this instance; nothing to standardize")
-    ln_sigma1 = 0.5 * math.log(s1n) + log_binomial(n - 1, pattern.length - 1).ln_value()
+    ln_sigma1 = 0.5 * math.log(s1n) + log_binomial(n - 1, pattern.length - 1)
     return ln_ez, dist.ln_prob(pattern.word) + ln_sigma1
 
 
@@ -331,20 +331,27 @@ def lognormal_parameters(n: int, m: int, p_a: float) -> tuple[float, float]:
     return a_n, b_n
 
 
-def summarize_lognormal(
-    cfg: ExperimentConfig, pattern: Pattern, lnz: np.ndarray, out_dir=None
-) -> SimSummary:
-    """Diagnostics for T = (ln Z - a_n) / sqrt(b_n) from collected ln counts."""
+def lognormal_route(dist: SourceDist, pattern: Pattern, n: int) -> tuple[float, float]:
+    """(a_n, b_n) of the log-normal route; ValueError unless the pattern is
+    a^m with m < n p_a and n p_a - m >= LOGNORMAL_GAP_FACTOR sqrt(n)."""
     if not pattern.is_constant:
         raise ValueError("log-normal route requires a constant pattern a^m")
-    n, m = cfg.n, pattern.length
-    p_a = cfg.dist.probs[pattern.word[0]]
+    m, p_a = pattern.length, dist.probs[pattern.word[0]]
     a_n, b_n = lognormal_parameters(n, m, p_a)
     if n * p_a - m < LOGNORMAL_GAP_FACTOR * math.sqrt(n):
         raise ValueError(
             f"log-normal route needs n p_a - m >= {LOGNORMAL_GAP_FACTOR} sqrt(n); "
             f"got gap {n * p_a - m:.1f} vs {LOGNORMAL_GAP_FACTOR * math.sqrt(n):.1f}"
         )
+    return a_n, b_n
+
+
+def summarize_lognormal(
+    cfg: ExperimentConfig, pattern: Pattern, lnz: np.ndarray, out_dir=None
+) -> SimSummary:
+    """Diagnostics for T = (ln Z - a_n) / sqrt(b_n) from collected ln counts."""
+    n, m = cfg.n, pattern.length
+    a_n, b_n = lognormal_route(cfg.dist, pattern, n)
     keep = np.isfinite(lnz)
     used = lnz[keep]
     t_theo = (used - a_n) / math.sqrt(b_n)
@@ -361,22 +368,21 @@ def summarize_lognormal(
 
 
 def auto_regime(dist: SourceDist, pattern: Pattern, n: int) -> str:
-    """The route ``--regime auto`` takes: log-normal for a^m when its spread
-    b_n exceeds EQUIVALENCE_SPREAD and the route's gap precondition holds."""
-    if not pattern.is_constant:
+    """The route ``--regime auto`` takes: log-normal when that route applies
+    to the instance and its spread b_n exceeds EQUIVALENCE_SPREAD."""
+    try:
+        _, b_n = lognormal_route(dist, pattern, n)
+    except ValueError:
         return "normal"
-    p_a = dist.probs[pattern.word[0]]
-    if n * p_a - pattern.length < LOGNORMAL_GAP_FACTOR * math.sqrt(n):
-        return "normal"
-    _, b_n = lognormal_parameters(n, pattern.length, p_a)
     return "lognormal" if b_n > EQUIVALENCE_SPREAD else "normal"
 
 
 def run_experiment(cfg: ExperimentConfig, routes=None, out_dir=None) -> dict[str, SimSummary]:
     """Collect ln Z once and summarize it on each of ``routes``, in order.
 
-    ``routes`` defaults to ``(cfg.regime,)``.  One route writes its files
-    to ``out_dir``; with more, route r writes to ``out_dir/r``.
+    ``routes`` defaults to ``(cfg.regime,)``.  Every route's preconditions
+    are checked before the first trial.  One route writes its files to
+    ``out_dir``; with more, route r writes to ``out_dir/r``.
     """
     routes = (cfg.regime,) if routes is None else tuple(routes)
     if not routes or set(routes) - set(ROUTES):
@@ -384,6 +390,9 @@ def run_experiment(cfg: ExperimentConfig, routes=None, out_dir=None) -> dict[str
     pattern = cfg.pattern_spec.resolve(cfg.dist)
     if cfg.n < pattern.length:
         raise ValueError("text length n must be at least the pattern length")
+    for route in routes:
+        check = normal_scale_factors if route == "normal" else lognormal_route
+        check(cfg.dist, pattern, cfg.n)
     lnz = collect_ln_counts(cfg, pattern)
     summaries = {}
     for route in routes:

@@ -14,8 +14,10 @@ without forming the letters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,6 +25,12 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def left_sum(values) -> float:
+    """Floats added left to right from 0.0: the bits of the builtin ``sum``
+    up to Python 3.11, which from 3.12 on compensates float sums."""
+    return reduce(operator.add, values, 0.0)
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:
@@ -104,7 +112,7 @@ class SourceDist:
 
     def ln_prob(self, word) -> float:
         """ln p_w: the log-probability that len(word) independent letters spell word."""
-        return sum(math.log(self.probs[j]) for j in word)
+        return left_sum(math.log(self.probs[j]) for j in word)
 
     @property
     def min_prob(self) -> float:
@@ -382,4 +390,4 @@ def proportion_distance(pattern: Pattern, dist: SourceDist) -> float:
     if pattern.alphabet != dist.alphabet:
         raise ValueError("pattern and distribution use different alphabets")
     q = pattern.proportions()
-    return math.sqrt(sum((float(qa) - pa) ** 2 for qa, pa in zip(q, dist.probs)))
+    return math.sqrt(left_sum((float(qa) - pa) ** 2 for qa, pa in zip(q, dist.probs)))

@@ -42,16 +42,16 @@ def test_known_counts(text, pattern, want):
     got = count_subsequences(t, p, mode="exact")
     assert got.exact == want
     if want > 0:
-        assert got.log_value.ln_value() == pytest.approx(math.log(want), abs=1e-12)
+        assert got.ln == pytest.approx(math.log(want), abs=1e-12)
     else:
-        assert got.log_value.is_zero
+        assert got.ln == -math.inf
 
 
 def test_float_mode_skips_exact(dist):
     t = make_text("abab")
     got = count_subsequences(t, make_pattern("ab", dist), mode="float")
     assert got.exact is None
-    assert got.log_value.ln_value() == pytest.approx(math.log(3.0), rel=1e-12)
+    assert got.ln == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 def test_constant_pattern_shortcut(dist):
@@ -87,22 +87,32 @@ def test_float_mode_tracks_exact_at_scale(dist):
     p = make_pattern("ab" * 10, dist)
     exact = count_subsequences(t, p, mode="exact")
     fl = count_subsequences(t, p, mode="float")
-    ln_exact = exact.log_value.ln_value()
-    assert fl.log_value.ln_value() == pytest.approx(ln_exact, rel=1e-8)
+    ln_exact = exact.ln
+    assert fl.ln == pytest.approx(ln_exact, rel=1e-8)
     # sanity: the exact integer round-trips through its own log rendering
     assert ln_exact == pytest.approx(math.log(exact.exact), abs=1e-9)
 
 
 def test_float_mode_survives_huge_counts(dist):
-    # counts near e^3000 overflow doubles without rescaling
+    # counts near e^277 at n = 10^4: the float route agrees with the big-integer one
     rng = np.random.default_rng(5)
     t = random_binary_text(rng, 10_000)
     p = make_pattern("ab" * 25, dist)
     fl = count_subsequences(t, p, mode="float")
-    assert fl.log_value.sign == 1
-    assert math.isfinite(fl.log_value.ln_value())
+    assert math.isfinite(fl.ln)
     exact = count_subsequences(t, p, mode="exact")
-    assert fl.log_value.ln_value() == pytest.approx(exact.log_value.ln_value(), rel=1e-8)
+    assert fl.ln == pytest.approx(exact.ln, rel=1e-8)
+
+
+def test_exact_ln_of_counts_past_double_range(dist):
+    # C(1100, 550) ~ e^759 and C(6000, 3000) ~ e^4155 have no double; ln is taken of the int
+    cases = [
+        (1100, count_subsequences(Text.from_string("a" * 1100, AB), make_pattern("a" * 550, dist))),
+        (6000, constant_pattern_count(Text.from_string("a" * 6000, AB), 0, 3000)),
+    ]
+    for n, got in cases:
+        assert got.exact == math.comb(n, n // 2) and got.exact.bit_length() > 1024
+        assert got.ln == pytest.approx(math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1), rel=1e-12)
 
 
 def test_append_monotonicity(dist):

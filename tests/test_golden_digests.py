@@ -125,6 +125,41 @@ def test_channel_mc_stdout_digest(name, capsys):
     assert _sha(capsys.readouterr().out.encode()) == CHANNEL_DIGESTS[name]
 
 
+# name -> argv of a deterministic subcommand; its stdout carries every log
+# quantity as a float repr, so the digest pins their bits.  "ab" at n=2 has a
+# zero lk_lower_bound, and the last two moments runs are past the exact limit
+STDOUT_CASES = {
+    "moments_ab_n2": "moments --n 2 --pattern ab --probs 0.5,0.5".split(),
+    "moments_aabba_n300": "moments --n 300 --pattern aabba --probs 0.7,0.3".split(),
+    "moments_abc_n400": "moments --n 400 --pattern abc --probs 0.5,0.3,0.2".split(),
+    "moments_a300_n10000": ["moments", "--n", "10000", "--pattern", "a" * 300, "--probs", "0.7,0.3"],
+    "moments_a20b20_n4000": ["moments", "--n", "4000", "--pattern", "a" * 20 + "b" * 20, "--probs", "0.7,0.3"],
+    "count_exact": "count --text abacaba --pattern aba".split(),
+    "count_float": "count --text abacaba --pattern aba --mode float".split(),
+    "count_zero_exact": "count --text bbbb --pattern a".split(),
+    "count_zero_float": "count --text bbbb --pattern a --mode float".split(),
+}
+
+STDOUT_DIGESTS = {
+    "moments_ab_n2": "d631934e165d8860bf2081b685ff18ceb57d62c2d530ce05a5063b0096346bd1",
+    "moments_aabba_n300": "8fdbaec32e51e5d60192adc8a93d72291a4ce7602f10ff359c3faa5d902c3671",
+    "moments_abc_n400": "9cc3bac73167757ff90dbdd6051755fa22c7290423fed54e64ee99bc5aa4c1aa",
+    "moments_a300_n10000": "a900f2cae563b13fec745ea5e682451f3708e408ed322258a2fdb48a778a4f98",
+    "moments_a20b20_n4000": "606d99d0e8dd66033875cdebf5af66239f313ed712424f028575c9bd06ec4522",
+    "count_exact": "c4a77ffc34380dd55e991fcba432f71d4b4928a02fafd41725a8eddb85432678",
+    "count_float": "d5b1a7dab8a5c6fd24e596dc00dcebbd3ea3fed94b2ecda831d57b267dd24699",
+    "count_zero_exact": "121788fc92263a334cd9d20cb6f4b10257227476c8e8b0b64b1472a7a81e9989",
+    "count_zero_float": "8b17098273f0b3b25270609b3a87c03fbaddd91f69b4e82a4573fddd1b1b3081",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_cli_stdout_digest(name, capsys):
+    capsys.readouterr()
+    assert main(STDOUT_CASES[name]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[name]
+
+
 # name -> ((probs, n, d), trials, master seed, mi.hex(), stderr.hex()); at n=3,
 # d=0.9 most outputs are empty, and n=200, d=0.3 is the benchmark's channel shape
 CHANNEL_MC_HEX = {

@@ -252,6 +252,25 @@ def test_lognormal_gap_precondition():
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        (PatternSpec.explicit((0, 1, 0)), "constant"),  # aba
+        (PatternSpec.constant(0, 45), "sqrt"),  # gap n p_a - m = 5 < 10 sqrt(100)
+    ],
+)
+def test_route_preconditions_fail_before_any_trial(monkeypatch, spec, match):
+    def never(*args, **kwargs):
+        raise AssertionError("trials were collected for a route that refuses the instance")
+
+    monkeypatch.setattr(simulation, "collect_ln_counts", never)
+    cfg = make_cfg(pattern_spec=spec, n=100, trials=100_000, regime="lognormal")
+    with pytest.raises(ValueError, match=match):
+        run_experiment(cfg)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(cfg, ("normal", "lognormal"))
+
+
 def test_lognormal_zero_skip_accounting(monkeypatch):
     # at n=30, m=10, p=1/2 about 5% of texts have too few a's, which
     # exceeds the 1% conforming limit; relax the gap gate to observe it
