@@ -4,9 +4,10 @@ Six subcommands: ``count``, ``moments``, ``decompose``, ``simulate``,
 ``channel-mi``, ``preset``.  Every invocation validates its inputs
 before doing work, prints exactly one JSON document on stdout, and logs
 to stderr.  Stochastic subcommands require an explicit ``--seed``.
-Trials run on one thread; ``--workers`` is accepted for compatibility and
-has no effect.  Exit status is 0 on success,
-1 when a preset gate fails, 2 on invalid input.
+``simulate`` and the Monte Carlo presets run their trial spans in up to
+``--workers`` forked processes; the output bytes do not depend on it.
+Exit status is 0 on success, 1 when a preset gate fails, 2 on invalid
+input.
 
 Conventions: probabilities parse as decimals and are re-rationalized
 where exact arithmetic needs them; exact integer counts print as
@@ -47,6 +48,8 @@ from .source_model import Alphabet, Pattern, SourceDist, Text
 log = logging.getLogger("subseqstats")
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+_WORKERS_HELP = "processes for trial spans (default 1); output bytes do not depend on it"
 
 
 class SystemExit2(SystemExit):
@@ -175,7 +178,7 @@ def _cmd_simulate(args) -> int:
         regime,
         standardization=args.standardization,
     )
-    _emit(run_experiment(cfg, out_dir=Path(args.out))[regime].to_dict())
+    _emit(run_experiment(cfg, out_dir=Path(args.out), workers=args.workers)[regime].to_dict())
     return 0
 
 
@@ -208,7 +211,7 @@ def _cmd_preset(args) -> int:
     if args.trials is not None:
         overrides["trials"] = args.trials
     log.info("preset %s starting", args.name)
-    report = run_preset(args.name, out_dir=args.out, **overrides)
+    report = run_preset(args.name, out_dir=args.out, workers=args.workers, **overrides)
     for gate in report.gates:
         log.info(
             "gate %-45s value=%-12.6g threshold=%-10.6g %s",
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--standardization", choices=("theoretical", "empirical"), default="theoretical"
     )
     p.add_argument("--out", required=True, help="directory for samples.csv + summary.json")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; trials run on one thread")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("channel-mi", help="deletion-channel mutual information")
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="run a named gated experiment")
     p.add_argument("--name", required=True, choices=sorted(PRESETS))
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; trials run on one thread")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--trials", type=int, default=None, help="override trial count")
     p.set_defaults(fn=_cmd_preset)
 

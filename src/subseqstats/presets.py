@@ -187,11 +187,11 @@ TRIAL_PRESETS = {
 }
 
 
-def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None) -> PresetReport:
+def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None, workers=1) -> PresetReport:
     """Run one row of ``TRIAL_PRESETS``.
 
-    Each seed is one ``run_experiment`` over the row's routes, then the
-    row's gates are applied.
+    Each seed is one ``run_experiment`` over the row's routes, with
+    ``workers`` processes, then the row's gates are applied.
     """
     row = TRIAL_PRESETS[name]
     trials = row.trials if trials is None else trials
@@ -202,7 +202,7 @@ def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None) -> Prese
         spec = replace(row.spec, pattern_seed=seed) if row.spec.kind == "random" else row.spec
         cfg = ExperimentConfig(dist, spec, row.n, trials, seed, row.routes[0], row.standardization)
         sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        for route, summary in run_experiment(cfg, row.routes, sub).items():
+        for route, summary in run_experiment(cfg, row.routes, sub, workers).items():
             summaries[route].append(summary)
     gates = []
     for gate_name, route, statistic, threshold in row.gates:
@@ -334,13 +334,20 @@ _OVERRIDES = {
 def run_preset(name: str, out_dir=None, workers: int = 1, **overrides) -> PresetReport:
     """Run a named preset; unknown names or override keys raise ValueError.
 
-    ``workers`` is accepted for compatibility and has no effect.
+    A Monte Carlo preset runs each seed's trial spans in up to ``workers``
+    forked processes (see ``simulation.collect_ln_counts``); its output
+    bytes do not depend on ``workers``.  The other presets run in this
+    process.  ``workers`` below 1 raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     bad = set(overrides) - _OVERRIDES[name]
     if bad:
         raise ValueError(f"preset {name!r} does not accept overrides: {sorted(bad)}")
+    if name in TRIAL_PRESETS:
+        overrides["workers"] = workers
     report = PRESETS[name](out_dir=out_dir, **overrides)
     if out_dir is not None:
         report.write(out_dir)

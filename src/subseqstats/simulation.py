@@ -18,15 +18,18 @@ Trial t always draws its text from the stream seed derived from
 (master_seed, t), batches have a fixed size, and samples are written
 sorted, so a run's output bytes depend only on its configuration.  For
 a^m a trial counts N_a from its stream's uniforms and forms no letters.
-Trials run on one thread: a thread pool over batches measured slower
-than the serial loop.
+Spans of BATCH_SIZE trials run in up to ``workers`` forked processes and
+join in span order, so the output bytes do not depend on ``workers``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -223,23 +226,37 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
     return (x - mu) / sd, None if atoms is None else (atoms - mu) / sd
 
 
+def _count_span(cfg: ExperimentConfig, pattern: Pattern, lo: int) -> np.ndarray:
+    """Raw counts of trials lo .. lo + BATCH_SIZE - 1: N_a for a^m, ln Z otherwise."""
+    seeds = [derive_seed(cfg.master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, cfg.trials))]
+    if pattern.is_constant:
+        count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
+        return np.array([count(rng, cfg.n, a) for rng in stream_generators(seeds)], dtype=np.int64)
+    return batched_ln_counts(batch_letters(cfg.dist, cfg.n, seeds), pattern.word)
+
+
 def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
     """ln Z per trial (-inf for zero counts).
 
     Trials run in fixed spans of BATCH_SIZE streams.  For a^m,
     Z = C(N_a, m) with N_a counted from each trial's uniforms; other
-    patterns are counted on a span's letter block.
-    ``workers`` is accepted for compatibility and has no effect.
+    patterns are counted on a span's letter block.  With ``workers`` > 1
+    and more than one span, the spans run in up to ``workers`` processes
+    forked for this call (fork: the children need not import numpy and
+    scipy again; do not call it from a process whose other threads hold
+    locks).  Results join in span order, so the output does not depend on
+    ``workers``.
     """
-    count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
-    out = np.empty(cfg.trials, dtype=np.int64 if pattern.is_constant else np.float64)
-    for lo in range(0, cfg.trials, BATCH_SIZE):
-        seeds = [derive_seed(cfg.master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, cfg.trials))]
-        if pattern.is_constant:
-            out[lo : lo + BATCH_SIZE] = [count(rng, cfg.n, a) for rng in stream_generators(seeds)]
-        else:
-            letters = batch_letters(cfg.dist, cfg.n, seeds)
-            out[lo : lo + BATCH_SIZE] = batched_ln_counts(letters, pattern.word)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    starts = range(0, cfg.trials, BATCH_SIZE)
+    span = partial(_count_span, cfg, pattern)
+    if workers > 1 and len(starts) > 1:
+        with ProcessPoolExecutor(min(workers, len(starts)), mp_context=get_context("fork")) as pool:
+            parts = list(pool.map(span, starts))
+    else:
+        parts = list(map(span, starts))
+    out = np.concatenate(parts)
     return _ln_binom_of_counts(out, pattern.length) if pattern.is_constant else out
 
 
@@ -377,12 +394,15 @@ def auto_regime(dist: SourceDist, pattern: Pattern, n: int) -> str:
     return "lognormal" if b_n > EQUIVALENCE_SPREAD else "normal"
 
 
-def run_experiment(cfg: ExperimentConfig, routes=None, out_dir=None) -> dict[str, SimSummary]:
+def run_experiment(
+    cfg: ExperimentConfig, routes=None, out_dir=None, workers: int = 1
+) -> dict[str, SimSummary]:
     """Collect ln Z once and summarize it on each of ``routes``, in order.
 
     ``routes`` defaults to ``(cfg.regime,)``.  Every route's preconditions
     are checked before the first trial.  One route writes its files to
-    ``out_dir``; with more, route r writes to ``out_dir/r``.
+    ``out_dir``; with more, route r writes to ``out_dir/r``.  ``workers``
+    is passed to ``collect_ln_counts``.
     """
     routes = (cfg.regime,) if routes is None else tuple(routes)
     if not routes or set(routes) - set(ROUTES):
@@ -393,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, routes=None, out_dir=None) -> dict[str
     for route in routes:
         check = normal_scale_factors if route == "normal" else lognormal_route
         check(cfg.dist, pattern, cfg.n)
-    lnz = collect_ln_counts(cfg, pattern)
+    lnz = collect_ln_counts(cfg, pattern, workers)
     summaries = {}
     for route in routes:
         sub = out_dir

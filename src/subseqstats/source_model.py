@@ -102,8 +102,9 @@ class SourceDist:
             raise ValueError("probs length must match alphabet size")
         if any(not (0.0 < p < 1.0) for p in self.probs):
             raise ValueError("each probability must lie strictly in (0, 1)")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
+        total = left_sum(self.probs)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "SourceDist":

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from subseqstats import simulation
 from subseqstats.source_model import Alphabet, Pattern, SourceDist, Text
 
 # one line per acceptance criterion, echoed after the run so the
@@ -44,3 +45,27 @@ def uniform_binary() -> SourceDist:
 @pytest.fixture
 def skewed_binary() -> SourceDist:
     return binary_dist(0.7)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace ``simulation.ProcessPoolExecutor`` with a stand-in that maps
+    in this process and starts none; returns the list of
+    (max_workers, start method) it was built with."""
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            built.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    return built

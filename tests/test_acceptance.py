@@ -11,6 +11,7 @@ in the failure detail.
 
 import itertools
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -284,12 +285,16 @@ def test_08_hypergeometric_sign_bias_exhaustive():
 # ---------------------------------------------------------------------------
 # statistical criteria: fixed seeds, 10^5 trials where stated
 
+# the slowest presets spread their trial spans over this many processes;
+# their output bytes do not depend on it
+CPUS = len(os.sched_getaffinity(0))
+
 
 @pytest.fixture(scope="session")
 def t2a_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("t2a")
     t0 = time.time()
-    report = preset_t2a_normal(out_dir=out, trials=100_000)
+    report = preset_t2a_normal(out_dir=out, trials=100_000, workers=CPUS)
     return report, out, time.time() - t0
 
 
@@ -307,7 +312,7 @@ def test_09_normal_regime_desk_scale(t2a_run):
 
 
 def test_10_skewed_block_pattern_normal_gates():
-    report = preset_tka_skewed(trials=100_000)
+    report = preset_tka_skewed(trials=100_000, workers=CPUS)
     gates = {g.name: g for g in report.gates}
     ks = gates["KS passes out of 5 (need >= 4)"]
     var = gates["max |emp var / theory - 1|"]

@@ -94,6 +94,16 @@ def test_simulate_writes_outputs_and_is_deterministic(tmp_path, capsys):
     float(first)  # parses as a number
 
 
+def test_workers_below_one_exit_2(tmp_path, capsys):
+    simulate = ["simulate", "--n", "50", "--pattern", "aba", "--probs", "0.5,0.5",
+                "--trials", "400", "--seed", "21", "--out", str(tmp_path / "sim")]
+    preset = ["preset", "--name", "tllow_alternating"]
+    for argv in (simulate, preset):
+        assert main(argv + ["--workers", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_auto_regime_resolution(tmp_path, capsys):
     code, doc = run_cli(
         capsys,

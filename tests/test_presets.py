@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from subseqstats import simulation
 from subseqstats.presets import (
     PRESETS,
     preset_cor_random_normal,
@@ -34,6 +35,23 @@ def test_unknown_preset_and_bad_override():
         run_preset("nope")
     with pytest.raises(ValueError, match="overrides"):
         run_preset("tllow_alternating", bogus=1)
+
+
+def test_run_preset_passes_workers_to_collect(monkeypatch, recorded_pools):
+    seen = []
+    collect = simulation.collect_ln_counts
+
+    def recording_collect(cfg, pattern, workers=1):
+        seen.append(workers)
+        return collect(cfg, pattern, workers)
+
+    monkeypatch.setattr(simulation, "collect_ln_counts", recording_collect)
+    run_preset("t2a_normal", workers=2, trials=8192, seeds=(1,))
+    assert seen == [2]
+    assert recorded_pools == [(2, "fork")]
+    with pytest.raises(ValueError, match="workers"):
+        run_preset("t2a_normal", workers=0, trials=8192, seeds=(1,))
+    assert seen == [2]
 
 
 def test_alternating_bound_sweep_small(tmp_path):

@@ -142,6 +142,33 @@ def test_sample_files_identical_across_workers(tmp_path):
     ).read_bytes()
 
 
+def test_collect_pool_sized_to_spans(recorded_pools):
+    cfg = make_cfg(n=20, trials=simulation.BATCH_SIZE + 1)  # two spans
+    pat = cfg.pattern_spec.resolve(cfg.dist)
+    serial = collect_ln_counts(cfg, pat, workers=1)
+    assert recorded_pools == []
+    assert np.array_equal(collect_ln_counts(cfg, pat, workers=3), serial)
+    assert recorded_pools == [(2, "fork")]
+    # an oversized request is capped before any process could start
+    collect_ln_counts(cfg, pat, workers=10**6)
+    assert recorded_pools[-1] == (2, "fork")
+
+
+def test_collect_single_span_builds_no_pool(recorded_pools):
+    for spec in (PatternSpec.explicit((0, 1, 0)), PatternSpec.constant(0, 3)):
+        cfg = make_cfg(pattern_spec=spec, n=20, trials=simulation.BATCH_SIZE)
+        collect_ln_counts(cfg, spec.resolve(cfg.dist), workers=8)
+    assert recorded_pools == []
+
+
+def test_collect_rejects_fewer_than_one_worker():
+    cfg = make_cfg()
+    pat = cfg.pattern_spec.resolve(cfg.dist)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            collect_ln_counts(cfg, pat, workers=workers)
+
+
 # ---- normal route ----------------------------------------------------------
 
 

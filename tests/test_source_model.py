@@ -52,6 +52,17 @@ def test_source_dist_validation():
     assert u.probs == (0.25, 0.25, 0.25, 0.25)
 
 
+def test_source_dist_sum_check_adds_left_to_right():
+    # the same three numbers, 1e-12 past 1: added left to right, one order
+    # lands on the far side of the tolerance and the other does not; a
+    # compensated sum (Python 3.12's builtin) would accept both
+    abc = Alphabet.from_string("abc")
+    SourceDist(abc, (0.600000000001, 0.1, 0.3))
+    with pytest.raises(ValueError) as err:
+        SourceDist(abc, (0.1, 0.3, 0.600000000001))
+    assert str(err.value) == "probabilities sum to 1.000000000001, not 1"
+
+
 def test_rational_probs():
     assert binary_dist(0.3).rational_probs() == (Fraction(3, 10), Fraction(7, 10))
     thirds = SourceDist(AB, (1.0 / 3.0, 2.0 / 3.0))
