@@ -25,6 +25,7 @@ from .simulation import (
     auto_regime,
     lasn_consistency_check,
     run_experiment,
+    run_experiments,
 )
 from .source_model import Alphabet, Pattern, SourceDist, Text, derive_seed, generate_text
 
@@ -53,6 +54,7 @@ __all__ = [
     "moment_report",
     "residual_bound",
     "run_experiment",
+    "run_experiments",
     "sigma1_sq",
     "sigma1_sq_exact",
     "v_level",

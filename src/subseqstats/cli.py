@@ -5,7 +5,8 @@ Six subcommands: ``count``, ``moments``, ``decompose``, ``simulate``,
 before doing work, prints exactly one JSON document on stdout, and logs
 to stderr.  Stochastic subcommands require an explicit ``--seed``.
 ``simulate`` and the Monte Carlo presets run their trial spans in up to
-``--workers`` forked processes; the output bytes do not depend on it.
+``--workers`` forked processes, one pool per call shared by all seeds;
+the output bytes are independent of ``--workers``.
 Exit status is 0 on success, 1 when a preset gate fails, 2 on invalid
 input.
 
@@ -49,7 +50,10 @@ log = logging.getLogger("subseqstats")
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
-_WORKERS_HELP = "processes for trial spans (default 1); output bytes do not depend on it"
+_WORKERS_HELP = (
+    "processes for trial spans (default 1): one pool per call, shared by all seeds; "
+    "output bytes are independent of it"
+)
 
 
 class SystemExit2(SystemExit):

@@ -2,7 +2,7 @@
 
 Each preset expands to a fully specified experiment or sweep, runs it,
 and reports one boolean per gate.  The Monte Carlo presets are rows of
-``TRIAL_PRESETS``, all run by one per-seed loop.  Gate thresholds and
+``TRIAL_PRESETS``, all run by one multi-seed runner.  Gate thresholds and
 the fixed master seed tuples are frozen here: a preset run is
 deterministic end to end, so a gate's outcome never flips between CI
 runs.  Seed tuples were
@@ -33,7 +33,7 @@ from .moments import (
     occupancy_rows,
     random_pattern_expected_sigma1,
 )
-from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, run_experiment
+from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, run_experiments
 from .source_model import Alphabet, SourceDist, batch_letters, derive_seed
 
 DEFAULT_SEEDS = (101, 211, 307, 401, 503)
@@ -190,19 +190,22 @@ TRIAL_PRESETS = {
 def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None, workers=1) -> PresetReport:
     """Run one row of ``TRIAL_PRESETS``.
 
-    Each seed is one ``run_experiment`` over the row's routes, with
-    ``workers`` processes, then the row's gates are applied.
+    All seeds go to one ``run_experiments`` call over the row's routes,
+    so with ``workers`` > 1 one forked pool counts every seed's spans;
+    then the row's gates are applied.
     """
     row = TRIAL_PRESETS[name]
     trials = row.trials if trials is None else trials
     seeds = row.seeds if seeds is None else seeds
     dist = SourceDist(_BINARY, row.probs)
-    summaries = {route: [] for route in row.routes}
+    cfgs = []
     for seed in seeds:
         spec = replace(row.spec, pattern_seed=seed) if row.spec.kind == "random" else row.spec
-        cfg = ExperimentConfig(dist, spec, row.n, trials, seed, row.routes[0], row.standardization)
-        sub = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        for route, summary in run_experiment(cfg, row.routes, sub, workers).items():
+        cfgs.append(ExperimentConfig(dist, spec, row.n, trials, seed, row.routes[0], row.standardization))
+    subs = None if out_dir is None else [Path(out_dir) / f"seed_{seed}" for seed in seeds]
+    summaries = {route: [] for route in row.routes}
+    for per_route in run_experiments(cfgs, row.routes, subs, workers):
+        for route, summary in per_route.items():
             summaries[route].append(summary)
     gates = []
     for gate_name, route, statistic, threshold in row.gates:
@@ -334,10 +337,11 @@ _OVERRIDES = {
 def run_preset(name: str, out_dir=None, workers: int = 1, **overrides) -> PresetReport:
     """Run a named preset; unknown names or override keys raise ValueError.
 
-    A Monte Carlo preset runs each seed's trial spans in up to ``workers``
-    forked processes (see ``simulation.collect_ln_counts``); its output
-    bytes do not depend on ``workers``.  The other presets run in this
-    process.  ``workers`` below 1 raises ValueError.
+    A Monte Carlo preset runs its trial spans in up to ``workers`` forked
+    processes: one pool per call, shared by all seeds (see
+    ``simulation.run_experiments``); its output bytes are independent of
+    ``workers``.  The other presets run in this process.  ``workers``
+    below 1 raises ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

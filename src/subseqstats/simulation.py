@@ -18,8 +18,11 @@ Trial t always draws its text from the stream seed derived from
 (master_seed, t), batches have a fixed size, and samples are written
 sorted, so a run's output bytes depend only on its configuration.  For
 a^m a trial counts N_a from its stream's uniforms and forms no letters.
-Spans of BATCH_SIZE trials run in up to ``workers`` forked processes and
-join in span order, so the output bytes do not depend on ``workers``.
+Spans of BATCH_SIZE trials run in up to ``workers`` forked processes:
+one pool per call, shared by all seeds (``run_experiments`` takes every
+config of a multi-seed run), and each seed is summarized while later
+spans still count.  Spans join in order, so the bytes are independent of
+``workers``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -235,29 +238,46 @@ def _count_span(cfg: ExperimentConfig, pattern: Pattern, lo: int) -> np.ndarray:
     return batched_ln_counts(batch_letters(cfg.dist, cfg.n, seeds), pattern.word)
 
 
-def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
-    """ln Z per trial (-inf for zero counts).
+def _ln_counts_per_job(jobs, workers: int):
+    """Yield ln Z per trial (-inf for zero counts) for each (cfg, pattern)
+    of ``jobs``, in job order.
 
-    Trials run in fixed spans of BATCH_SIZE streams.  For a^m,
+    Every job's trials run in fixed spans of BATCH_SIZE streams.  For a^m,
     Z = C(N_a, m) with N_a counted from each trial's uniforms; other
     patterns are counted on a span's letter block.  With ``workers`` > 1
-    and more than one span, the spans run in up to ``workers`` processes
-    forked for this call (fork: the children need not import numpy and
-    scipy again; do not call it from a process whose other threads hold
-    locks).  Results join in span order, so the output does not depend on
-    ``workers``.
+    and more than one span in all, the spans of every job are mapped over
+    one pool of up to ``workers`` processes forked for this generator
+    (fork: the children need not import numpy and scipy again; do not use
+    it from a process whose other threads hold locks).  A job is yielded
+    as soon as its last span is in, while later spans keep counting.
+    Spans join in order, so the output does not depend on ``workers``.
+    Close the generator to shut its pool down.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    starts = range(0, cfg.trials, BATCH_SIZE)
-    span = partial(_count_span, cfg, pattern)
-    if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(min(workers, len(starts)), mp_context=get_context("fork")) as pool:
-            parts = list(pool.map(span, starts))
-    else:
-        parts = list(map(span, starts))
-    out = np.concatenate(parts)
-    return _ln_binom_of_counts(out, pattern.length) if pattern.is_constant else out
+    spans = [(cfg, pattern, lo) for cfg, pattern in jobs for lo in range(0, cfg.trials, BATCH_SIZE)]
+    pool = None
+    if workers > 1 and len(spans) > 1:
+        pool = ProcessPoolExecutor(min(workers, len(spans)), mp_context=get_context("fork"))
+    try:
+        parts = (map if pool is None else pool.map)(_count_span, *zip(*spans))
+        for cfg, pattern in jobs:
+            out = np.concatenate([next(parts) for _ in range(0, cfg.trials, BATCH_SIZE)])
+            yield _ln_binom_of_counts(out, pattern.length) if pattern.is_constant else out
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
+    """ln Z per trial (-inf for zero counts): the one-config case of the
+    span driver.  With ``workers`` > 1 and more than one span, the spans
+    run in one pool per call of up to ``workers`` forked processes (for
+    many seeds, ``run_experiments`` shares one pool across all of them);
+    bytes independent of ``workers``.
+    """
+    with closing(_ln_counts_per_job([(cfg, pattern)], workers)) as lnz:
+        return next(lnz)
 
 
 def _summarize(
@@ -394,16 +414,8 @@ def auto_regime(dist: SourceDist, pattern: Pattern, n: int) -> str:
     return "lognormal" if b_n > EQUIVALENCE_SPREAD else "normal"
 
 
-def run_experiment(
-    cfg: ExperimentConfig, routes=None, out_dir=None, workers: int = 1
-) -> dict[str, SimSummary]:
-    """Collect ln Z once and summarize it on each of ``routes``, in order.
-
-    ``routes`` defaults to ``(cfg.regime,)``.  Every route's preconditions
-    are checked before the first trial.  One route writes its files to
-    ``out_dir``; with more, route r writes to ``out_dir/r``.  ``workers``
-    is passed to ``collect_ln_counts``.
-    """
+def _checked_routes(cfg: ExperimentConfig, routes) -> tuple[Pattern, tuple[str, ...]]:
+    """(pattern, routes) of one config once every route's preconditions hold."""
     routes = (cfg.regime,) if routes is None else tuple(routes)
     if not routes or set(routes) - set(ROUTES):
         raise ValueError(f"routes must be drawn from {ROUTES}, got {routes}")
@@ -413,15 +425,53 @@ def run_experiment(
     for route in routes:
         check = normal_scale_factors if route == "normal" else lognormal_route
         check(cfg.dist, pattern, cfg.n)
-    lnz = collect_ln_counts(cfg, pattern, workers)
-    summaries = {}
-    for route in routes:
-        sub = out_dir
-        if out_dir is not None and len(routes) > 1:
-            sub = Path(out_dir) / route
-        summarize = summarize_normal if route == "normal" else summarize_lognormal
-        summaries[route] = summarize(cfg, pattern, lnz, sub)
-    return summaries
+    return pattern, routes
+
+
+def run_experiments(
+    cfgs, routes=None, out_dirs=None, workers: int = 1
+) -> list[dict[str, SimSummary]]:
+    """Collect ln Z for each config and summarize it on each of ``routes``.
+
+    ``routes`` defaults to each config's ``(cfg.regime,)``.  Every route's
+    preconditions are checked for every config before the first span.
+    All configs' spans then go through one span driver: with ``workers``
+    > 1, one pool per call, shared by all seeds, and config k is
+    summarized while later configs' spans keep counting.  Config k writes
+    to ``out_dirs[k]``: one route writes there, with more route r writes
+    to ``out_dirs[k]/r``.  Bytes independent of ``workers``.
+    """
+    cfgs = tuple(cfgs)
+    out_dirs = (None,) * len(cfgs) if out_dirs is None else tuple(out_dirs)
+    if not cfgs or len(out_dirs) != len(cfgs):
+        raise ValueError("need at least one config and one out_dir per config")
+    plans = [(cfg, *_checked_routes(cfg, routes), out_dir) for cfg, out_dir in zip(cfgs, out_dirs)]
+    jobs = [(cfg, pattern) for cfg, pattern, _, _ in plans]
+    results = []
+    with closing(_ln_counts_per_job(jobs, workers)) as lnzs:
+        for (cfg, pattern, cfg_routes, out_dir), lnz in zip(plans, lnzs):
+            summaries = {}
+            for route in cfg_routes:
+                sub = out_dir
+                if out_dir is not None and len(cfg_routes) > 1:
+                    sub = Path(out_dir) / route
+                summarize = summarize_normal if route == "normal" else summarize_lognormal
+                summaries[route] = summarize(cfg, pattern, lnz, sub)
+            results.append(summaries)
+    return results
+
+
+def run_experiment(
+    cfg: ExperimentConfig, routes=None, out_dir=None, workers: int = 1
+) -> dict[str, SimSummary]:
+    """Collect ln Z once and summarize it on each of ``routes``, in order:
+    ``run_experiments`` for one config.
+
+    ``routes`` defaults to ``(cfg.regime,)``.  Every route's preconditions
+    are checked before the first trial.  One route writes its files to
+    ``out_dir``; with more, route r writes to ``out_dir/r``.
+    """
+    return run_experiments((cfg,), routes, (out_dir,), workers)[0]
 
 
 @dataclass(frozen=True)

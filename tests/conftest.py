@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ def skewed_binary() -> SourceDist:
     return binary_dist(0.7)
 
 
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fail a test that leaves a child process running, as a pool that is
+    never shut down would."""
+    yield
+    left = multiprocessing.active_children()
+    assert left == [], f"child processes outlived the test: {left}"
+
+
 @pytest.fixture
 def recorded_pools(monkeypatch):
     """Replace ``simulation.ProcessPoolExecutor`` with a stand-in that maps
@@ -58,14 +69,11 @@ def recorded_pools(monkeypatch):
         def __init__(self, max_workers, mp_context):
             built.append((max_workers, mp_context.get_start_method()))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables):
             return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
     return built

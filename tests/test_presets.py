@@ -6,12 +6,14 @@ dispatch machinery and the presets that pass.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
 from subseqstats import simulation
 from subseqstats.presets import (
     PRESETS,
+    TRIAL_PRESETS,
     preset_cor_random_normal,
     preset_eaaa_dichotomy,
     run_preset,
@@ -37,21 +39,53 @@ def test_unknown_preset_and_bad_override():
         run_preset("tllow_alternating", bogus=1)
 
 
-def test_run_preset_passes_workers_to_collect(monkeypatch, recorded_pools):
-    seen = []
-    collect = simulation.collect_ln_counts
-
-    def recording_collect(cfg, pattern, workers=1):
-        seen.append(workers)
-        return collect(cfg, pattern, workers)
-
-    monkeypatch.setattr(simulation, "collect_ln_counts", recording_collect)
-    run_preset("t2a_normal", workers=2, trials=8192, seeds=(1,))
-    assert seen == [2]
+def test_run_preset_forks_one_pool_for_all_seeds(recorded_pools):
+    uneven = simulation.BATCH_SIZE + 1  # two spans per seed
+    run_preset("t2a_normal", workers=2, trials=uneven, seeds=(1, 2, 3))
+    assert recorded_pools == [(2, "fork")]
+    run_preset("t2a_normal", workers=1, trials=uneven, seeds=(1, 2, 3))
+    run_preset("t2a_normal", workers=2, trials=simulation.BATCH_SIZE, seeds=(1,))
     assert recorded_pools == [(2, "fork")]
     with pytest.raises(ValueError, match="workers"):
-        run_preset("t2a_normal", workers=0, trials=8192, seeds=(1,))
-    assert seen == [2]
+        run_preset("t2a_normal", workers=0, trials=uneven, seeds=(1,))
+    assert recorded_pools == [(2, "fork")]
+
+
+def test_summary_error_leaves_no_child(monkeypatch):
+    summarize = simulation.summarize_normal
+    calls = []
+
+    def fails_on_second_seed(cfg, *args):
+        calls.append(cfg.master_seed)
+        if len(calls) == 2:
+            raise RuntimeError("summary failed")
+        return summarize(cfg, *args)
+
+    monkeypatch.setattr(simulation, "summarize_normal", fails_on_second_seed)
+    with pytest.raises(RuntimeError, match="summary failed"):
+        run_preset("t2a_normal", workers=2, trials=simulation.BATCH_SIZE + 1, seeds=(1, 2, 3))
+    assert calls == [1, 2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "name, trials, seeds",
+    [
+        ("t2a_normal", simulation.BATCH_SIZE + 1, (1, 2, 3)),
+        ("tln_lognormal", 4097, (1, 2)),  # seed_<s>/<route>/ layout
+    ],
+)
+def test_preset_files_identical_across_workers(tmp_path, name, trials, seeds):
+    def files(workers):
+        root = tmp_path / f"w{workers}"
+        run_preset(name, out_dir=root, workers=workers, trials=trials, seeds=seeds)
+        return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+    serial = files(1)
+    assert "report.json" in serial
+    # report.json plus samples.csv and summary.json per seed and route
+    assert len(serial) == 1 + 2 * len(seeds) * len(TRIAL_PRESETS[name].routes)
+    assert files(3) == serial
 
 
 def test_alternating_bound_sweep_small(tmp_path):

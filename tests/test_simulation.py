@@ -21,6 +21,7 @@ from subseqstats.simulation import (
     lognormal_parameters,
     normal_scale_factors,
     run_experiment,
+    run_experiments,
     summarize_normal,
 )
 
@@ -286,16 +287,35 @@ def test_lognormal_gap_precondition():
         (PatternSpec.constant(0, 45), "sqrt"),  # gap n p_a - m = 5 < 10 sqrt(100)
     ],
 )
-def test_route_preconditions_fail_before_any_trial(monkeypatch, spec, match):
+def test_route_preconditions_fail_before_any_trial(monkeypatch, recorded_pools, spec, match):
     def never(*args, **kwargs):
-        raise AssertionError("trials were collected for a route that refuses the instance")
+        raise AssertionError("trials were counted for a route that refuses the instance")
 
-    monkeypatch.setattr(simulation, "collect_ln_counts", never)
+    monkeypatch.setattr(simulation, "_count_span", never)
     cfg = make_cfg(pattern_spec=spec, n=100, trials=100_000, regime="lognormal")
     with pytest.raises(ValueError, match=match):
         run_experiment(cfg)
     with pytest.raises(ValueError, match=match):
-        run_experiment(cfg, ("normal", "lognormal"))
+        run_experiment(cfg, ("normal", "lognormal"), workers=2)
+    # only the last config refuses: still nothing is counted and no pool is built
+    fine = make_cfg(pattern_spec=PatternSpec.constant(0, 30), n=10_000, trials=100_000)
+    with pytest.raises(ValueError, match=match):
+        run_experiments([fine, replace(fine, master_seed=2), cfg], ("lognormal", "normal"), workers=2)
+    assert recorded_pools == []
+
+
+def test_run_experiments_matches_one_config_runs(tmp_path):
+    cfgs = [make_cfg(n=60, trials=simulation.BATCH_SIZE + 1, master_seed=s) for s in (4, 5)]
+    together = run_experiments(cfgs, out_dirs=[tmp_path / "a4", tmp_path / "a5"], workers=2)
+    for cfg, summaries in zip(cfgs, together):
+        sub = f"{cfg.master_seed}"
+        assert run_experiment(cfg, out_dir=tmp_path / f"b{sub}") == summaries
+        for name in ("samples.csv", "summary.json"):
+            assert (tmp_path / f"a{sub}" / name).read_bytes() == (tmp_path / f"b{sub}" / name).read_bytes()
+    with pytest.raises(ValueError, match="config"):
+        run_experiments([])
+    with pytest.raises(ValueError, match="out_dir"):
+        run_experiments(cfgs, out_dirs=[tmp_path])
 
 
 def test_lognormal_zero_skip_accounting(monkeypatch):
