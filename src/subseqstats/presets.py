@@ -1,12 +1,14 @@
 """Named experiment presets with pass/fail gates.
 
 Each preset expands to a fully specified experiment or sweep, runs it,
-and reports one boolean per gate.  The Monte Carlo presets are rows of
-``TRIAL_PRESETS``, all run by one multi-seed runner.  Gate thresholds and
-the fixed master seed tuples are frozen here: a preset run is
-deterministic end to end, so a gate's outcome never flips between CI
-runs.  Seed tuples were
-pinned after verifying the gate margins for configurations whose
+and reports one boolean per gate.  ``run_preset`` is the one way to run
+a preset of ``PRESETS``.  The Monte Carlo presets are rows of
+``TRIAL_PRESETS``, all run by one multi-seed runner, and take the
+overrides ``trials`` and ``seeds``; the other presets are functions whose
+parameters are their overrides.  Gate thresholds and the fixed master
+seed tuples are frozen here: a preset run is deterministic end to end, so
+a gate's outcome never flips between CI runs.  Seed tuples were pinned
+after verifying the gate margins for configurations whose
 population-level distance to the normal limit sits below the KS critical
 value; configurations where that distance exceeds the critical value
 cannot pass a faithful KS gate at any seed, and their presets simply
@@ -18,11 +20,11 @@ atoms, where it measures the law rather than its discreteness.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from .moments import (
     occupancy_rows,
     random_pattern_expected_sigma1,
 )
-from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, run_experiments
+from .simulation import ExperimentConfig, PatternSpec, run_experiments
 from .source_model import Alphabet, SourceDist, batch_letters, derive_seed
 
 DEFAULT_SEEDS = (101, 211, 307, 401, 503)
@@ -44,6 +46,9 @@ T2A_SEEDS = (101, 149, 167, 181, 307)
 # frozen band for E[sigma1^2(W)] / ((n/sqrt(m)) C^2); computed values
 # 0.914, 0.900, 0.893 at the three sweep points drift toward sqrt(pi)/2
 TLRANDOM_BAND = (0.85, 0.95)
+
+# master seed of the random patterns sampled by tlrandom_scaling
+TLRANDOM_SEED = 424242
 
 _BINARY = Alphabet.from_string("ab")
 
@@ -187,7 +192,7 @@ TRIAL_PRESETS = {
 }
 
 
-def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None, workers=1) -> PresetReport:
+def _run_trial_preset(name: str, out_dir, workers: int, trials=None, seeds=None) -> PresetReport:
     """Run one row of ``TRIAL_PRESETS``.
 
     All seeds go to one ``run_experiments`` call over the row's routes,
@@ -220,14 +225,7 @@ def _run_trial_preset(name: str, out_dir=None, trials=None, seeds=None, workers=
     )
 
 
-preset_t2a_normal = partial(_run_trial_preset, "t2a_normal")
-preset_tka_skewed = partial(_run_trial_preset, "tka_skewed")
-preset_tln_lognormal = partial(_run_trial_preset, "tln_lognormal")
-preset_eaaa_dichotomy = partial(_run_trial_preset, "eaaa_dichotomy")
-preset_cor_random_normal = partial(_run_trial_preset, "cor_random_normal")
-
-
-def preset_tllow_alternating(out_dir=None, n_max=100):
+def preset_tllow_alternating(n_max=100):
     """sigma_1^2 <= 10 (n/m) C(n-1, m-1)^2 for alternating patterns, exact sweep.
 
     For the alternating pattern over a uniform binary source,
@@ -268,23 +266,22 @@ def random_pattern_sample_mean(dist, n, m, count, master_seed):
     rows = occupancy_rows(n, m, 1, n)
     probs = np.asarray(dist.probs)
     vals = np.empty(count)
-    for lo in range(0, count, BATCH_SIZE):
-        seeds = [derive_seed(master_seed, k) for k in range(lo, min(lo + BATCH_SIZE, count))]
-        for k, word in enumerate(batch_letters(dist, m, seeds), lo):
-            total = np.zeros(n)
-            for a in range(dist.alphabet.size):
-                s = rows @ (word == a).astype(float)
-                total += s * s / probs[a]
-            vals[k] = float(total.sum() - n)
+    words = batch_letters(dist, m, [derive_seed(master_seed, k) for k in range(count)])
+    for k, word in enumerate(words):
+        total = np.zeros(n)
+        for a in range(dist.alphabet.size):
+            s = rows @ (word == a).astype(float)
+            total += s * s / probs[a]
+        vals[k] = float(total.sum() - n)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
-def preset_tlrandom_scaling(out_dir=None, patterns=2000, master_seed=424242):
+def preset_tlrandom_scaling(patterns=2000):
     """Random-pattern average of sigma_1^2: closed form vs sampling, plus scaling."""
     dist = SourceDist(_BINARY, (0.5, 0.5))
     n, m = 200, 16
     formula = random_pattern_expected_sigma1(dist, n, m)
-    mean, se = random_pattern_sample_mean(dist, n, m, patterns, master_seed)
+    mean, se = random_pattern_sample_mean(dist, n, m, patterns, TLRANDOM_SEED)
     dev = abs(mean - formula) / se
     ratios = {}
     lo, hi = TLRANDOM_BAND
@@ -305,7 +302,7 @@ def preset_tlrandom_scaling(out_dir=None, patterns=2000, master_seed=424242):
         params={
             "grid_point": {"n": n, "m": m},
             "patterns": patterns,
-            "master_seed": master_seed,
+            "master_seed": TLRANDOM_SEED,
             "formula": formula,
             "sample_mean": mean,
             "sample_se": se,
@@ -317,25 +314,18 @@ def preset_tlrandom_scaling(out_dir=None, patterns=2000, master_seed=424242):
 
 
 PRESETS = {
-    "t2a_normal": preset_t2a_normal,
-    "tka_skewed": preset_tka_skewed,
-    "tln_lognormal": preset_tln_lognormal,
-    "eaaa_dichotomy": preset_eaaa_dichotomy,
+    **TRIAL_PRESETS,
     "tllow_alternating": preset_tllow_alternating,
     "tlrandom_scaling": preset_tlrandom_scaling,
-    "cor_random_normal": preset_cor_random_normal,
-}
-
-# keywords each preset takes besides out_dir
-_OVERRIDES = {
-    **dict.fromkeys(TRIAL_PRESETS, {"trials", "seeds"}),
-    "tllow_alternating": {"n_max"},
-    "tlrandom_scaling": {"patterns", "master_seed"},
 }
 
 
 def run_preset(name: str, out_dir=None, workers: int = 1, **overrides) -> PresetReport:
-    """Run a named preset; unknown names or override keys raise ValueError.
+    """Run a named preset; the one entry point to every preset of ``PRESETS``.
+
+    A row of ``TRIAL_PRESETS`` takes the overrides ``trials`` and ``seeds``,
+    a function preset its own parameters; unknown names or override keys
+    raise ValueError.  With ``out_dir``, ``report.json`` is written there.
 
     A Monte Carlo preset runs its trial spans in up to ``workers`` forked
     processes: one pool per call, shared by all seeds (see
@@ -347,12 +337,15 @@ def run_preset(name: str, out_dir=None, workers: int = 1, **overrides) -> Preset
         raise ValueError(f"workers must be at least 1, got {workers}")
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    bad = set(overrides) - _OVERRIDES[name]
+    trial = name in TRIAL_PRESETS
+    allowed = {"trials", "seeds"} if trial else set(inspect.signature(PRESETS[name]).parameters)
+    bad = set(overrides) - allowed
     if bad:
         raise ValueError(f"preset {name!r} does not accept overrides: {sorted(bad)}")
-    if name in TRIAL_PRESETS:
-        overrides["workers"] = workers
-    report = PRESETS[name](out_dir=out_dir, **overrides)
+    if trial:
+        report = _run_trial_preset(name, out_dir, workers, **overrides)
+    else:
+        report = PRESETS[name](**overrides)
     if out_dir is not None:
         report.write(out_dir)
     return report

@@ -25,6 +25,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MAX_DENOMINATOR = 10**6
 
 
 def left_sum(values) -> float:
@@ -124,14 +125,15 @@ class SourceDist:
         """1/min_a p_a - 1, the scale constant in the variance bounds."""
         return 1.0 / self.min_prob - 1.0
 
-    def rational_probs(self, max_denominator: int = 10**6) -> tuple[Fraction, ...]:
+    def rational_probs(self) -> tuple[Fraction, ...]:
         """Rational rendering of the probabilities for exact arithmetic.
 
-        Each probability is rationalized independently; the results must
-        sum to exactly 1 or the rendering is rejected, since exact-route
-        identities are meaningless under an inconsistent rationalization.
+        Each probability is rationalized independently, with denominators
+        up to 10^6; the results must sum to exactly 1 or the rendering is
+        rejected, since exact-route identities are meaningless under an
+        inconsistent rationalization.
         """
-        rats = tuple(Fraction(p).limit_denominator(max_denominator) for p in self.probs)
+        rats = tuple(Fraction(p).limit_denominator(_MAX_DENOMINATOR) for p in self.probs)
         if sum(rats) != 1:
             raise ValueError(
                 "rationalized probabilities do not sum to 1 exactly; "
@@ -368,8 +370,7 @@ def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
     """Draw n i.i.d. letters; same (dist, n, seed) always gives the same text."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = next(stream_generators([seed]))
-    return Text(_letter_sampler(dist).draw(rng, n), dist.alphabet)
+    return Text(batch_letters(dist, n, [seed])[0], dist.alphabet)
 
 
 def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:

@@ -32,13 +32,7 @@ from subseqstats.moments import (
     sigma1_sq_exact,
     sigma1_sq_normalized,
 )
-from subseqstats.presets import (
-    preset_t2a_normal,
-    preset_tka_skewed,
-    preset_tllow_alternating,
-    preset_tln_lognormal,
-    preset_tlrandom_scaling,
-)
+from subseqstats.presets import run_preset
 from subseqstats.simulation import (
     ExperimentConfig,
     PatternSpec,
@@ -251,7 +245,7 @@ def test_06_constant_pattern_closed_form():
 
 def test_07_alternating_bound_sweep():
     t0 = time.time()
-    report = preset_tllow_alternating(n_max=100)
+    report = run_preset("tllow_alternating", n_max=100)
     elapsed = time.time() - t0
     record(
         7,
@@ -294,7 +288,7 @@ CPUS = len(os.sched_getaffinity(0))
 def t2a_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("t2a")
     t0 = time.time()
-    report = preset_t2a_normal(out_dir=out, trials=100_000, workers=CPUS)
+    report = run_preset("t2a_normal", out_dir=out, trials=100_000, workers=CPUS)
     return report, out, time.time() - t0
 
 
@@ -312,7 +306,7 @@ def test_09_normal_regime_desk_scale(t2a_run):
 
 
 def test_10_skewed_block_pattern_normal_gates():
-    report = preset_tka_skewed(trials=100_000, workers=CPUS)
+    report = run_preset("tka_skewed", trials=100_000, workers=CPUS)
     gates = {g.name: g for g in report.gates}
     ks = gates["KS passes out of 5 (need >= 4)"]
     var = gates["max |emp var / theory - 1|"]
@@ -338,7 +332,7 @@ def test_10_skewed_block_pattern_normal_gates():
 
 
 def test_11_lognormal_regime_desk_scale():
-    report = preset_tln_lognormal(trials=100_000)
+    report = run_preset("tln_lognormal", trials=100_000)
     gates = {g.name: g for g in report.gates}
     ks = gates["ln Z KS passes out of 5 (need >= 4)"]
     var = gates["max |emp var(ln Z) / b_n - 1|"]
@@ -361,7 +355,7 @@ def test_11_lognormal_regime_desk_scale():
 
 def test_12_random_pattern_formula_and_band():
     t0 = time.time()
-    report = preset_tlrandom_scaling(patterns=2000, master_seed=424242)
+    report = run_preset("tlrandom_scaling", patterns=2000)
     elapsed = time.time() - t0
     dev = report.gates[0].value
     ratios = report.params["ratios"]

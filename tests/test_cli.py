@@ -218,6 +218,14 @@ def test_preset_gate_exit_codes(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
+def test_preset_rejects_an_override_it_does_not_take(tmp_path, capsys):
+    out = tmp_path / "D"
+    code = main(["preset", "--name", "tllow_alternating", "--trials", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not (out / "report.json").exists()
+
+
 def test_invalid_inputs_exit_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["count", "--text", "abab"])  # missing --pattern

@@ -11,13 +11,7 @@ import multiprocessing
 import pytest
 
 from subseqstats import simulation
-from subseqstats.presets import (
-    PRESETS,
-    TRIAL_PRESETS,
-    preset_cor_random_normal,
-    preset_eaaa_dichotomy,
-    run_preset,
-)
+from subseqstats.presets import PRESETS, TRIAL_PRESETS, run_preset
 
 
 def test_registry_names():
@@ -37,6 +31,14 @@ def test_unknown_preset_and_bad_override():
         run_preset("nope")
     with pytest.raises(ValueError, match="overrides"):
         run_preset("tllow_alternating", bogus=1)
+    # each kind of preset rejects the other kind's overrides
+    for name, key, value in [
+        ("t2a_normal", "n_max", 3),
+        ("tllow_alternating", "trials", 5),
+        ("tlrandom_scaling", "seeds", (1,)),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            run_preset(name, **{key: value})
 
 
 def test_run_preset_forks_one_pool_for_all_seeds(recorded_pools):
@@ -115,10 +117,10 @@ def test_random_pattern_scaling_rejects_fewer_than_two_patterns():
 def test_dichotomy_preset_full_scale():
     # log-scale standardization passes while the count-scale one fails,
     # on the same collected samples, for at least 4 of 5 seeds
-    report = preset_eaaa_dichotomy(trials=10_000)
+    report = run_preset("eaaa_dichotomy", trials=10_000)
     assert report.passed, [g.to_dict() for g in report.gates]
 
 
 def test_random_pattern_clt_preset_full_scale():
-    report = preset_cor_random_normal(trials=5000)
+    report = run_preset("cor_random_normal", trials=5000)
     assert report.passed, [g.to_dict() for g in report.gates]

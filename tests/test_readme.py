@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import subseqstats
+from subseqstats.presets import PRESETS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -38,3 +39,8 @@ def test_entry_points_exist():
     assert len(names) >= 20
     missing = [n for n in names if not any(callable(getattr(m, n, None)) for m in modules)]
     assert missing == []
+
+
+def test_preset_table_lists_every_preset():
+    rows = re.findall(r"^\| `(\w+)` +\|", section("### preset"), re.M)
+    assert set(rows) == set(PRESETS)
