@@ -8,9 +8,11 @@ coefficients c(i, j) = C(i-1, j-1) * C(n-i, m-j), the number of
 occurrence slots that place pattern position j at text position i.
 Normalizing a row of those coefficients by C(n-1, m-1) gives a
 hypergeometric-type occupancy law pi(i, .), which is what the stable
-float route evaluates: ``occupancy_rows`` builds a block of such rows at
-once, and sigma_1^2 and the random-pattern average are sums over those
-blocks.  Exact rational companions cover moderate n as oracles.
+float route evaluates: ``occupancy_rows`` fills any range of such rows
+from thin cache-sized blocks, each row multiplied outward from its mode
+and each side of it formed only where the block uses it, and sigma_1^2
+and the random-pattern average are sums over those rows.  Exact rational
+companions cover moderate n as oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import _TILE_CELLS
 from .source_model import Pattern, SourceDist, left_sum, proportion_distance
 
 # exact rational companions are supported up to this text length
@@ -30,6 +31,9 @@ EXACT_N_LIMIT = 500
 
 # m^2 C(n-1, m-1)^2 / sigma_1^2 threshold for calling the normal regime
 NORMAL_RATIO_THRESHOLD = 0.01
+
+# occupancy rows are built in blocks of about this many cells, which stay in cache
+_BLOCK_CELLS = 2**14
 
 
 def _ln(x: float) -> float:
@@ -91,32 +95,67 @@ def coeff_c_exact(i: int, j: int, n: int, m: int) -> int:
 def occupancy_rows(n: int, m: int, i_lo: int, i_hi: int) -> np.ndarray:
     """Occupancy rows pi(i, 1..m) = c(i, .) / C(n-1, m-1) for i = i_lo..i_hi.
 
-    Row i is evaluated outward from its mode j0 through the ratio
-    recurrence pi(i, j+1)/pi(i, j) = (i-j)(m-j) / (j (n-i-m+j+1)), as
-    one cumulative product upward and one downward, then normalized, so
-    no binomial is ever formed and underflow in the tails is benign.
-    Ratios outside a row's support [lo, hi] are 1.0, which leaves the
-    product order of a per-row loop unchanged, and are masked to 0 after.
+    Row i is evaluated outward from its mode j0 = ceil(i m / (n+1))
+    through the ratio recurrence pi(i, j+1)/pi(i, j) = (i-j)(m-j) /
+    (j (n-i-m+j+1)), as one cumulative product upward and one downward,
+    then normalized by its own sum, so no binomial is ever formed and
+    underflow in the tails is benign.  The range is filled in thin
+    blocks of about ``_BLOCK_CELLS`` entries, and a block evaluates each
+    side only where some row uses it: up-ratios from the block's least
+    mode on, down-ratios up to its greatest, which is about half of every
+    row.  A row's values do not depend on the block it falls in.
     """
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
     if not (1 <= i_lo <= i_hi <= n):
         raise ValueError("need 1 <= i_lo <= i_hi <= n")
-    i = np.arange(i_lo, i_hi + 1, dtype=np.int64)[:, None]
-    s = np.arange(1, m + 1, dtype=np.int64)
-    lo = np.maximum(1, m - (n - i))
-    hi = np.minimum(i, m)
-    j0 = np.clip(-((-i * m) // (n + 1)), lo, hi)  # ceil(i m / (n+1))
-    # pi(i, s) / pi(i, s-1) above the mode, pi(i, s) / pi(i, s+1) below it;
-    # masked before dividing so no zero or negative denominator is formed
-    up_ok = (s > j0) & (s <= hi)
-    up = np.where(up_ok, (i - s + 1) * (m - s + 1), 1) / np.where(up_ok, (s - 1) * (n - i - m + s), 1)
-    dn_ok = (s >= lo) & (s < j0)
-    dn = np.where(dn_ok, s * (n - i - m + s + 1), 1) / np.where(dn_ok, (i - s) * (m - s), 1)
-    rows = np.where(s >= j0, np.cumprod(up, axis=1), np.cumprod(dn[:, ::-1], axis=1)[:, ::-1])
-    rows = np.where((s >= lo) & (s <= hi), rows, 0.0)
-    rows /= rows.sum(axis=1, keepdims=True)
+    rows = np.empty((i_hi - i_lo + 1, m))
+    step = max(1, _BLOCK_CELLS // m)
+    for r in range(0, rows.shape[0], step):
+        _fill_occupancy_block(rows[r : r + step], n, m, i_lo + r)
     return rows
+
+
+def _fill_occupancy_block(rows: np.ndarray, n: int, m: int, i_first: int) -> None:
+    """Write the occupancy rows i = i_first.. into the C-contiguous ``rows``.
+
+    Every factor is an integer-valued float64, exact below 2^53, and each
+    ratio is one masked divide into a buffer of ones, so no masked-out
+    quotient is formed.  A ratio of 1.0 leaves a row's product order
+    unchanged.  Outside a row's support [max(1, m-n+i), min(i, m)] the
+    numerators are clamped at 0, so the ratio that steps out of it is
+    +0.0 and so is every entry beyond, with no support mask.
+    """
+    i_int = np.arange(i_first, i_first + rows.shape[0], dtype=np.int64)[:, None]
+    # mode ceil(i m / (n+1)), kept inside the support; it rises with i
+    j0_int = np.clip(-((-i_int * m) // (n + 1)), np.maximum(1, m - (n - i_int)), np.minimum(i_int, m))
+    j_lo, j_hi = int(j0_int[0, 0]), int(j0_int[-1, 0])
+    i = i_int.astype(np.float64)
+    j0 = j0_int.astype(np.float64)
+    # up side, columns j_lo..m: pi(i, s) / pi(i, s-1) for s > j0
+    s = np.arange(j_lo, m + 1, dtype=np.float64)
+    num = np.maximum((i + 1.0) - s, 0.0)
+    num *= m + 1.0 - s
+    den = ((n - m) - i) + s
+    den *= s - 1.0
+    up = np.ones(num.shape)
+    np.divide(num, den, out=up, where=s > j0)
+    np.cumprod(up, axis=1, out=up)
+    # down side, columns 1..j_hi: pi(i, s) / pi(i, s+1) for s < j0
+    s = np.arange(1, j_hi + 1, dtype=np.float64)
+    num = np.maximum(((n - m + 1) - i) + s, 0.0)
+    num *= s
+    den = i - s
+    den *= m - s
+    dn = np.ones(num.shape)
+    np.divide(num, den, out=dn, where=s < j0)
+    np.cumprod(dn[:, ::-1], axis=1, out=dn[:, ::-1])
+    # below j_lo only the down side is set, above j_hi only the up side;
+    # between them the unused side is exactly 1.0
+    rows[:, : j_lo - 1] = dn[:, : j_lo - 1]
+    np.multiply(up[:, : j_hi - j_lo + 1], dn[:, j_lo - 1 :], out=rows[:, j_lo - 1 : j_hi])
+    rows[:, j_hi:] = up[:, j_hi - j_lo + 1 :]
+    rows /= rows.sum(axis=1, keepdims=True)
 
 
 def _tau_sq_block(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: int) -> np.ndarray:
@@ -129,8 +168,10 @@ def _tau_sq_block(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: i
     rows = occupancy_rows(n, pattern.length, i_lo, i_hi)
     word = np.asarray(pattern.word)
     sums = np.zeros((rows.shape[0], pattern.alphabet.size))
-    for a in np.unique(word):
-        sums[:, a] = np.cumsum(rows[:, word == a], axis=1)[:, -1]
+    letters = np.unique(word)
+    for a in letters:
+        slots = rows if letters.size == 1 else rows[:, word == a]
+        sums[:, a] = np.cumsum(slots, axis=1)[:, -1]
     r = np.sum(sums * sums / np.asarray(dist.probs), axis=1) - 1.0
     bad = np.flatnonzero(r < -1e-9)
     if bad.size:
@@ -171,12 +212,12 @@ def tau_sq_exact(i: int, dist: SourceDist, pattern: Pattern, n: int) -> Fraction
 def sigma1_sq_normalized(dist: SourceDist, pattern: Pattern, n: int) -> float:
     """sigma_1^2 / C(n-1, m-1)^2 as a plain float.
 
-    Rows are built in blocks of about ``_TILE_CELLS`` entries; the
+    Rows are built in blocks of about ``_BLOCK_CELLS`` entries; the
     per-position values are then added left to right, in the same order
     whatever the block size.  A mismatched pair never enters the cache.
     """
     _check_pair(dist, pattern, n)
-    step = max(1, _TILE_CELLS // pattern.length)
+    step = max(1, _BLOCK_CELLS // pattern.length)
     values = []
     for i_lo in range(1, n + 1, step):
         values += _tau_sq_block(dist, pattern, n, i_lo, min(i_lo + step - 1, n)).tolist()

@@ -222,9 +222,15 @@ _THREE = SourceDist(Alphabet.from_string("abc"), (0.5, 0.3, 0.2))
 _FIVE = SourceDist(Alphabet.from_string("abcde"), (0.35, 0.25, 0.2, 0.12, 0.08))
 
 # name -> (dist, pattern, n); at p_a = 1/2 the a^m values are exactly n, so
-# the constant pattern uses a skewed source
+# the constant patterns use a skewed source.  At n=700 most rows of a^600 are
+# cut by the support edges; the two-letter random pattern has blocks where
+# no letter fills every slot
 SIGMA1_CASES = {
+    "a150_n10000": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 150), 10_000),
     "a300_n10000": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 300), 10_000),
+    "a600_n10000": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 600), 10_000),
+    "a600_n700": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 600), 700),
+    "random2_m200_n5000": (_BIASED, PatternSpec.random(200, 9).resolve(_BIASED), 5000),
     "a20b20_n4000": (_SKEWED, Pattern.from_string(_SKEWED, "a" * 20 + "b" * 20), 4000),
     "aba_n2000": (_BIASED, Pattern.from_string(_BIASED, "aba"), 2000),
     "random3_m12_n1500": (_THREE, PatternSpec.random(12, 77).resolve(_THREE), 1500),
@@ -233,7 +239,11 @@ SIGMA1_CASES = {
 }
 
 SIGMA1_HEX = {
+    "a150_n10000": "0x1.0bdb6db6db8e2p+12",
     "a300_n10000": "0x1.0bdb6db6db8e2p+12",
+    "a600_n10000": "0x1.0bdb6db6db8e2p+12",
+    "a600_n700": "0x1.2bfffffffffe5p+8",
+    "random2_m200_n5000": "0x1.255abd9ea9cd9p+8",
     "a20b20_n4000": "0x1.24e5f51285e1ap+12",
     "aba_n2000": "0x1.bd8ea63e3d55ap+7",
     "random3_m12_n1500": "0x1.c52f86ee0a066p+9",

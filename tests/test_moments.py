@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
 from conftest import AB, binary_dist, make_pattern
+from subseqstats import moments
 from subseqstats.channel import mc_count_moment
 from subseqstats.counting import batched_ln_counts
 from subseqstats.moments import (
@@ -171,6 +172,86 @@ def test_occupancy_rows_split_is_bit_equal(data):
     if k < i_hi:
         parts.append(occupancy_rows(n, m, k + 1, i_hi))
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _frozen_occupancy_rows(n: int, m: int, i_lo: int, i_hi: int) -> np.ndarray:
+    """Occupancy rows pi(i, 1..m) = c(i, .) / C(n-1, m-1) for i = i_lo..i_hi.
+
+    Row i is evaluated outward from its mode j0 through the ratio
+    recurrence pi(i, j+1)/pi(i, j) = (i-j)(m-j) / (j (n-i-m+j+1)), as
+    one cumulative product upward and one downward, then normalized, so
+    no binomial is ever formed and underflow in the tails is benign.
+    Ratios outside a row's support [lo, hi] are 1.0, which leaves the
+    product order of a per-row loop unchanged, and are masked to 0 after.
+    """
+    if not (1 <= m <= n):
+        raise ValueError("need 1 <= m <= n")
+    if not (1 <= i_lo <= i_hi <= n):
+        raise ValueError("need 1 <= i_lo <= i_hi <= n")
+    i = np.arange(i_lo, i_hi + 1, dtype=np.int64)[:, None]
+    s = np.arange(1, m + 1, dtype=np.int64)
+    lo = np.maximum(1, m - (n - i))
+    hi = np.minimum(i, m)
+    j0 = np.clip(-((-i * m) // (n + 1)), lo, hi)  # ceil(i m / (n+1))
+    # pi(i, s) / pi(i, s-1) above the mode, pi(i, s) / pi(i, s+1) below it;
+    # masked before dividing so no zero or negative denominator is formed
+    up_ok = (s > j0) & (s <= hi)
+    up = np.where(up_ok, (i - s + 1) * (m - s + 1), 1) / np.where(up_ok, (s - 1) * (n - i - m + s), 1)
+    dn_ok = (s >= lo) & (s < j0)
+    dn = np.where(dn_ok, s * (n - i - m + s + 1), 1) / np.where(dn_ok, (i - s) * (m - s), 1)
+    rows = np.where(s >= j0, np.cumprod(up, axis=1), np.cumprod(dn[:, ::-1], axis=1)[:, ::-1])
+    rows = np.where((s >= lo) & (s <= hi), rows, 0.0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _assert_matches_frozen(n, m, i_lo, i_hi):
+    # no zero denominator, 0/0 or inf may be formed, masked entries included
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        got = occupancy_rows(n, m, i_lo, i_hi)
+    want = _frozen_occupancy_rows(n, m, i_lo, i_hi)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, m, i_lo, i_hi)
+
+
+# the frozen reference is the full-width occupancy_rows the half-width
+# blocks replaced; every row must keep its bits
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_occupancy_rows_match_frozen_reference(data):
+    n = data.draw(st.integers(1, 400), label="n")
+    m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
+    kind = data.draw(st.sampled_from(("any", "one_row", "below_m", "above_n_m_1", "all")), label="kind")
+    lo, hi = 1, n
+    if kind == "below_m" and m > 1:  # rows i < m: support cut above
+        hi = m - 1
+    elif kind == "above_n_m_1" and m > 1:  # rows i > n - m + 1: support cut below
+        lo = n - m + 2
+    i_lo = 1 if kind == "all" else data.draw(st.integers(lo, hi), label="i_lo")
+    i_hi = i_lo if kind == "one_row" else n if kind == "all" else data.draw(st.integers(i_lo, hi), label="i_hi")
+    cells = data.draw(st.sampled_from((1, 5, 64, moments._BLOCK_CELLS)), label="block cells")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_BLOCK_CELLS", cells)
+        _assert_matches_frozen(n, m, i_lo, i_hi)
+
+
+def test_occupancy_rows_match_frozen_reference_exhaustively_small():
+    for n in range(1, 11):
+        for m in range(1, n + 1):
+            for i_lo in range(1, n + 1):
+                for i_hi in range(i_lo, n + 1):
+                    _assert_matches_frozen(n, m, i_lo, i_hi)
+
+
+@pytest.mark.parametrize(
+    "n, m, i_lo, i_hi",
+    [(700, 600, 1, 700), (2000, 300, 1, 2000), (5000, 200, 2400, 2600), (10_000, 600, 9000, 9100),
+     (400, 400, 1, 400), (400, 1, 1, 400), (1, 1, 1, 1)],
+)
+def test_occupancy_rows_match_frozen_reference_at_scale(n, m, i_lo, i_hi):
+    # full ranges spanning several default-size blocks, windows away from
+    # the edges, and the m = n and m = 1 extremes
+    _assert_matches_frozen(n, m, i_lo, i_hi)
 
 
 @pytest.mark.parametrize(
