@@ -11,8 +11,12 @@ letter count.
 Every float count, batched, scalar (a batch of one) or deletion-channel
 (one word per row), runs one kernel, ``_float_counts``.  Its state is
 time-major, (m + 1, batch), and each text position is one vector update
-``state[1:] += state[:-1] * hit[t]``, with ``hit`` a bool buffer filled
-per block of _BLOCK positions from a transposed copy of that block only.
+``state[a:b+1] += state[a-1:b] * hit[t, a-1:b]`` over its live band of
+slots [a, b] (see _recurrence), with ``hit`` a bool buffer filled per
+block of _BLOCK positions, over the block's union band, from a transposed
+copy of that block only.  The band drops the slots still at 0.0 and, in
+a tile whose counts cannot pass _RESCALE_LIMIT, the slots that can no
+longer reach a row's end; such a tile also skips the max check.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .source_model import Pattern, Text
 BRUTE_FORCE_LIMIT = 10_000_000
 
 # the float kernel rescales a row whose largest state entry exceeds this,
-# checked after every full block of _BLOCK text positions
+# checked after every full block of _BLOCK text positions unless
+# _may_rescale rules it out
 _RESCALE_LIMIT = 1e300
 _RESCALE_FACTOR = 1e-280
 _RESCALE_LN = math.log(1e280)
@@ -121,7 +126,10 @@ def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:
     ``word`` is one word for every row, or a (batch, m_max) matrix of
     per-row words right-padded with -1; letters lie in [0, 127].  Returns
     (z, shift), count = z * e^shift, z == 0.0 exactly for a zero count.
-    A row's bits depend on its own text and word only.
+    A row's bits depend on its own text and word only.  Rows run in tiles
+    of about _TILE_CELLS state entries, each on its own live band of slots
+    and with the max check only where its counts can pass _RESCALE_LIMIT
+    (see _recurrence).
     """
     if texts.ndim != 2:
         raise ValueError(f"texts must be a (batch, n) array, got shape {texts.shape}")
@@ -151,21 +159,50 @@ def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:
     return z, shift
 
 
+def _may_rescale(n: int, m: int) -> bool:
+    """Whether a slot of an n-letter text and an m-slot word can pass _RESCALE_LIMIT.
+
+    Slot j after t letters is at most C(t, j) <= C(n, min(m, n // 2)); the
+    factor 2 covers float rounding.
+    """
+    return 2 * math.comb(n, min(m, n // 2)) >= _RESCALE_LIMIT
+
+
 def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
-    """One tile of rows of _float_counts, on buffers sized for that tile."""
+    """One tile of rows of _float_counts, on buffers sized for that tile.
+
+    Position t (0-based) updates only the live band of slots [a, b], with
+    b = min(m, t + 1): every slot above b still holds an exact 0.0.  a = 1
+    when a row of the tile may rescale (_may_rescale).  Otherwise
+    a = e_min - (n - 1 - t), e_min the tile's least row end, and the max
+    check is dropped: a slot below a can no longer reach any row's end and
+    feeds only other such slots.  Every add with hit = 1 still happens, in
+    the same order, and no rescale decision changes, so the bits are those
+    of the full update.
+    """
     (batch, n), m = texts.shape, len(cols)
     state = np.zeros((m + 1, batch))
     state[0] = 1.0
     shift = np.zeros(batch)
     tmp = np.empty((m, batch))
     hit = np.empty((_BLOCK, m, batch), dtype=bool)
+    rescales = _may_rescale(n, m)
+    # the band of position t starts at a = max(1, t + skip)
+    skip = -n if rescales else int(ends.min()) + 1 - n
     for lo in range(0, n, _BLOCK):
         block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
-        np.equal(block[:, None, :], cols, out=hit[: len(block)])
+        a, b = max(1, lo + skip), min(m, lo + len(block))
+        np.equal(block[:, None, :], cols[a - 1 : b], out=hit[: len(block), a - 1 : b])
         for t in range(len(block)):
-            np.multiply(state[:-1], hit[t], out=tmp)
-            state[1:] += tmp
-        if len(block) == _BLOCK:
+            a, b = max(1, lo + t + skip), min(m, lo + t + 1)
+            if a == 1 and b == m:
+                # the same update on whole-array views, which cost less to make
+                np.multiply(state[:-1], hit[t], out=tmp)
+                state[1:] += tmp
+            else:
+                np.multiply(state[a - 1 : b], hit[t, a - 1 : b], out=tmp[a - 1 : b])
+                state[a : b + 1] += tmp[a - 1 : b]
+        if rescales and len(block) == _BLOCK:
             hot = state.max(axis=0) > _RESCALE_LIMIT
             if hot.any():
                 state[:, hot] *= _RESCALE_FACTOR

@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import pytest
 
+from subseqstats import counting
 from subseqstats.channel import ChannelConfig, mc_mutual_information
 from subseqstats.cli import main
 from subseqstats.moments import sigma1_sq_normalized
@@ -174,6 +175,13 @@ def test_channel_mc_estimate_bits(name):
     cfg = ChannelConfig(SourceDist(Alphabet.from_string("ab"), probs), n, d)
     est = mc_mutual_information(cfg, trials, seed)
     assert (est.mi.hex(), est.stderr.hex()) == (mi_hex, stderr_hex)
+
+
+@pytest.mark.parametrize("cells", [1, 2**12])
+def test_channel_mc_estimate_bits_in_small_tiles(cells, monkeypatch):
+    # each tile of the 400-row batch takes its own shortest output as e_min
+    monkeypatch.setattr(counting, "_TILE_CELLS", cells)
+    test_channel_mc_estimate_bits("n200_d03")
 
 
 def test_preset_report_digest(tmp_path):

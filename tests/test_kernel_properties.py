@@ -2,16 +2,28 @@
 
 The kernel must track the exact big-integer count, and a row's bits must
 not depend on whether its word is shared or given per row, on extra
-padding columns, or on which other rows share its batch.
+padding columns, or on which other rows share its batch.  A frozen copy
+of the full-width tile kernel, which updates every slot at every
+position, pins the bits of the live-band kernel.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subseqstats.counting import _float_counts, batched_ln_counts, count_subsequences
+from subseqstats import counting
+from subseqstats.counting import (
+    _BLOCK,
+    _RESCALE_FACTOR,
+    _RESCALE_LIMIT,
+    _RESCALE_LN,
+    _float_counts,
+    batched_ln_counts,
+    count_subsequences,
+)
 from subseqstats.source_model import Alphabet, Pattern, SourceDist, Text
 
 KERNEL = settings(max_examples=60, deadline=None)
@@ -109,9 +121,115 @@ def test_tiled_batch_matches_row_by_row():
     words = [word[: 300 - (row % 7)] for row in range(600)]
     z, shift = _float_counts(texts, _matrix(words))
     assert shift.max() > 0
+    _assert_matches_frozen(texts, _matrix(words))
     for row in range(0, 600, 37):
         z1, shift1 = _float_counts(texts[row : row + 1], words[row])
         assert (z1[0], shift1[0]) == (z[row], shift[row])
     whole = batched_ln_counts(texts, word)
     parts = [batched_ln_counts(texts[k : k + 100], word) for k in range(0, 600, 100)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+# the tile kernel before the live band: every slot at every position, and
+# the max check after every full block
+def _frozen_recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
+    """One tile of rows of _float_counts, on buffers sized for that tile."""
+    (batch, n), m = texts.shape, len(cols)
+    state = np.zeros((m + 1, batch))
+    state[0] = 1.0
+    shift = np.zeros(batch)
+    tmp = np.empty((m, batch))
+    hit = np.empty((_BLOCK, m, batch), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
+        np.equal(block[:, None, :], cols, out=hit[: len(block)])
+        for t in range(len(block)):
+            np.multiply(state[:-1], hit[t], out=tmp)
+            state[1:] += tmp
+        if len(block) == _BLOCK:
+            hot = state.max(axis=0) > _RESCALE_LIMIT
+            if hot.any():
+                state[:, hot] *= _RESCALE_FACTOR
+                shift[hot] += _RESCALE_LN
+    return state[ends, np.arange(batch)], shift
+
+
+def _frozen_float_counts(texts, word, cells=counting._TILE_CELLS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_TILE_CELLS", cells)
+        mp.setattr(counting, "_recurrence", _frozen_recurrence)
+        return _float_counts(texts, word)
+
+
+def _assert_matches_frozen(texts, word, cells=counting._TILE_CELLS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_TILE_CELLS", cells)
+        z, shift = _float_counts(texts, word)
+    z0, shift0 = _frozen_float_counts(texts, word, cells)
+    assert np.array_equal(z.view(np.uint64), z0.view(np.uint64))
+    assert np.array_equal(shift.view(np.uint64), shift0.view(np.uint64))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(texts, word, tile cells): a shared word or a -1-padded word matrix."""
+    k = draw(st.integers(1, 3), label="letters")
+    n = draw(st.one_of(st.integers(0, 40), st.integers(41, 250)), label="n")
+    rows = draw(st.integers(1, 8), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    texts = rng.integers(0, k, size=(rows, n)).astype(np.int8)
+    kind = draw(st.sampled_from(("shared", "outputs", "random")), label="kind")
+    if kind == "shared":  # a subsequence of row 0, so its count is not 0
+        word = tuple(int(v) for v in texts[0][rng.random(n) >= draw(st.floats(0, 1))])
+    elif kind == "outputs":  # deletion-channel words: ends from 0 up to n
+        d = draw(st.floats(0, 1), label="d")
+        word = _matrix([tuple(row[rng.random(n) >= d]) for row in texts])
+    else:  # ends up past n
+        lengths = rng.integers(0, n + 4, size=rows)
+        word = _matrix([tuple(rng.integers(0, k, size=e)) for e in lengths])
+    if kind != "shared":
+        pad = np.full((rows, draw(st.integers(0, 3), label="pad")), -1, dtype=np.int8)
+        word = np.concatenate([word, pad], axis=1)
+    cells = draw(st.one_of(st.integers(1, 1500), st.just(counting._TILE_CELLS)), label="tile cells")
+    return texts, word, cells
+
+
+# small tile cells give each tile its own least row end
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_kernel_matches_frozen_full_width_kernel(case):
+    _assert_matches_frozen(*case)
+
+
+@pytest.mark.parametrize("n", [996, 1000, 1001, 1002, 1010, 1100])
+def test_kernel_matches_frozen_near_the_rescale_bound(n):
+    # near-constant texts and words of m >= n / 2 zeros reach counts near
+    # C(n, n / 2), on both sides of _may_rescale (it holds from n = 1001);
+    # with e_min near n, the largest slot of a constant row drops out of
+    # the live band long before the rescale check would fire
+    rng = np.random.default_rng(n)
+    texts = np.zeros((8, n), dtype=np.int8)
+    texts[3:6] = rng.random((3, n)) < 0.01
+    texts[6:] = rng.integers(0, 2, size=(2, n))
+    ends = [n - 7, n, n - 1, n // 2, (3 * n) // 4, n // 2 + 1, n // 2 + 40, n]
+    words = _matrix([(0,) * e for e in ends])
+    assert counting._may_rescale(n, n) == (n > 1000)
+    for cells in (counting._TILE_CELLS, 3 * (n + 1)):
+        _assert_matches_frozen(texts, words, cells)
+        for m in (n // 2, n - 7):
+            _assert_matches_frozen(texts, (0,) * m, cells)
+    if n >= 1010:
+        assert _frozen_float_counts(texts, words)[1].max() > 0
+
+
+@KERNEL
+@given(st.integers(0, 1100), st.data())
+def test_no_rescale_bound_holds(n, data):
+    # where _may_rescale says no, the full-width kernel never rescales
+    m = data.draw(st.one_of(st.integers(0, n + 2), st.integers(n // 2, n + 2)), label="m")
+    p_zero = data.draw(st.sampled_from((1.0, 0.99, 0.9, 0.5)), label="p_zero")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    texts = (rng.random((3, n)) >= p_zero).astype(np.int8)
+    if not counting._may_rescale(n, m):
+        for word in ((0,) * m, tuple(int(v) for v in rng.integers(0, 2, size=m))):
+            assert not _frozen_float_counts(texts, word)[1].any()
