@@ -23,6 +23,9 @@ one pool per call, shared by all seeds (``run_experiments`` takes every
 config of a multi-seed run), and each seed is summarized while later
 spans still count.  Spans join in order, so the bytes are independent of
 ``workers``.
+
+A summary's skewness and excess kurtosis follow scipy's formulas, computed
+here in numpy, so their bytes do not depend on the installed scipy version.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln, ndtr
-from scipy.stats import kurtosis, skew
 
 from .counting import batched_ln_counts
 from .moments import expected_count, log_binomial, sigma1_sq_normalized
@@ -204,6 +206,25 @@ def ks_critical(trials: int) -> float:
     return KS_COEFF_5PCT / math.sqrt(trials)
 
 
+def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Sample skewness and excess kurtosis of a 1-D float sample, both NaN
+    when its spread is lost in rounding (a constant sample).
+
+    The biased central moments m2, m3, m4 about the mean, each formed by
+    the same products, in the same order, as scipy's ``skew`` and
+    ``kurtosis`` (scipy 1.17, defaults bias=True, fisher=True) form them,
+    so the values carry the same bits.
+    """
+    mean = x.mean(keepdims=True)
+    d = x - mean
+    d2 = d**2
+    m2, m3, m4 = d2.mean(), (d2 * d).mean(), (d2**2).mean()
+    with np.errstate(all="ignore"):
+        if m2 <= (np.finfo(np.float64).eps * mean[0]) ** 2:
+            return math.nan, math.nan
+        return float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)
+
+
 def _ln_binom_of_counts(counts: np.ndarray, m: int) -> np.ndarray:
     """ln C(counts, m) elementwise, -inf where counts < m."""
     out = np.full(counts.shape, -np.inf)
@@ -292,6 +313,7 @@ def _summarize(
     conforming = skipped / cfg.trials <= ZERO_SKIP_LIMIT
     crit = ks_critical(max(size, 1))
     ks = ks_statistic(values, atoms) if size >= 2 else None
+    skewness, excess_kurtosis = _skew_kurtosis(values) if size >= 2 else (math.nan, math.nan)
     summary = SimSummary(
         regime=regime,
         n=cfg.n,
@@ -305,8 +327,8 @@ def _summarize(
         skips_conforming=conforming,
         emp_mean=float(values.mean()) if size else math.nan,
         emp_var=float(values.var(ddof=1)) if size >= 2 else math.nan,
-        skewness=float(skew(values)) if size >= 2 else math.nan,
-        excess_kurtosis=float(kurtosis(values)) if size >= 2 else math.nan,
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
         ks_stat=ks,
         ks_critical_5pct=crit,
         mean_rel_err=mean_rel_err,

@@ -1,11 +1,19 @@
 """Monte Carlo engine: determinism, standardizations, regime diagnostics."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import kurtosis, norm, skew
 
 from conftest import binary_dist
 from subseqstats import simulation
@@ -18,6 +26,7 @@ from subseqstats.simulation import (
     ks_critical,
     ks_statistic,
     lasn_consistency_check,
+    _skew_kurtosis,
     lognormal_parameters,
     normal_scale_factors,
     run_experiment,
@@ -86,6 +95,88 @@ def test_lattice_ks_rejects_a_shifted_lattice_law(binomial_lattice_sample):
 def test_lattice_ks_support_validation():
     with pytest.raises(ValueError, match="two points"):
         ks_statistic(np.zeros(5), np.zeros(3))
+
+
+# ---- summary moments -------------------------------------------------------
+
+
+@st.composite
+def moment_samples(draw):
+    """1-D float samples of 2 to 10^4 values: normal at any scale, constant,
+    near-constant on a large offset, heavy-tailed, or lattice-valued like
+    the a^m routes."""
+    size = draw(st.integers(2, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "constant", "near_constant", "heavy", "lattice"]))
+    if kind == "normal":
+        return rng.standard_normal(size) * 10.0 ** draw(st.floats(-160, 60))
+    if kind == "constant":
+        return np.full(size, draw(st.floats(-1e12, 1e12)))
+    if kind == "near_constant":
+        offset = 10.0 ** draw(st.floats(0, 12))
+        return offset + offset * 10.0 ** draw(st.floats(-18, -6)) * rng.standard_normal(size)
+    if kind == "heavy":
+        tail = draw(st.sampled_from(["cauchy", "pareto", "lognormal"]))
+        if tail == "cauchy":
+            return rng.standard_cauchy(size)
+        if tail == "pareto":
+            return rng.pareto(draw(st.floats(0.5, 3.0)), size)
+        return rng.lognormal(0.0, draw(st.floats(0.5, 4.0)), size)
+    # ln Z = ln C(N_a, m), N_a ~ Binomial(n, p), standardized by either route
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(6 * m, 2000))
+    p = draw(st.floats(0.2, 0.8))
+    dist = binary_dist(p)
+    lnz = _ln_count_atoms(n, m)[rng.binomial(n, p, size)]
+    if draw(st.booleans()):
+        ln_ez, ln_scale = normal_scale_factors(dist, PatternSpec.constant(0, m).resolve(dist), n)
+        return np.expm1(lnz - ln_ez) * math.exp(ln_ez - ln_scale)
+    a_n, b_n = lognormal_parameters(n, m, p)
+    used = lnz[np.isfinite(lnz)]
+    assume(used.size >= 2)
+    return (used - a_n) / math.sqrt(b_n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_samples())
+def test_skew_kurtosis_bits_equal_scipy(x):
+    with warnings.catch_warnings():
+        # scipy warns of catastrophic cancellation on near-constant samples
+        warnings.simplefilter("ignore")
+        want = (float(skew(x)), float(kurtosis(x)))
+    got = _skew_kurtosis(x)
+    for g, w in zip(got, want):
+        assert (math.isnan(g) and math.isnan(w)) or g.hex() == w.hex()
+
+
+def test_constant_sample_summary_writes_null_moments(tmp_path):
+    cfg = make_cfg()
+    pattern = cfg.pattern_spec.resolve(cfg.dist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = simulation._summarize(
+            cfg, pattern, "normal", np.full(cfg.trials, 0.25), None, 0, 0.0, 0.0, tmp_path
+        )
+    assert math.isnan(summary.skewness) and math.isnan(summary.excess_kurtosis)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["skewness"] is None
+    assert written["excess_kurtosis"] is None
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    """The CLI, and every pool parent it forks, starts without scipy.stats.
+    A fresh interpreter: other test modules load scipy.stats into this one."""
+    src = Path(simulation.__file__).resolve().parents[1]
+    code = (
+        "import sys, subseqstats, subseqstats.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ---- config validation -----------------------------------------------------
