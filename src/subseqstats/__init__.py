@@ -27,7 +27,7 @@ from .simulation import (
     run_experiment,
     run_experiments,
 )
-from .source_model import Alphabet, Pattern, SourceDist, Text, derive_seed, generate_text
+from .source_model import Alphabet, Pattern, SourceDist, Text, derive_seed, derive_seeds, generate_text
 
 __all__ = [
     "Alphabet",
@@ -46,6 +46,7 @@ __all__ = [
     "count_subsequences",
     "decompose",
     "derive_seed",
+    "derive_seeds",
     "expected_count",
     "expected_count_exact",
     "generate_text",

@@ -28,7 +28,7 @@ import numpy as np
 from .counting import _float_counts
 from .moments import log_binomial
 from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, collect_ln_counts
-from .source_model import Pattern, SourceDist, _letter_sampler, derive_seed, left_sum, stream_generators
+from .source_model import Pattern, SourceDist, _letter_sampler, derive_seeds, left_sum, stream_blocks
 
 # exact enumeration walks all 2^n inputs and their 2^n subsets
 ENUM_N_LIMIT = 12
@@ -190,6 +190,28 @@ class McMutualInformation:
     stderr: float
 
 
+@lru_cache(maxsize=8)
+def _ln_binomials(n: int) -> np.ndarray:
+    """ln C(n, k) for k = 0..n, read-only."""
+    row = np.array([log_binomial(n, k) for k in range(n + 1)])
+    row.flags.writeable = False
+    return row
+
+
+def _draw_span(cfg: ChannelConfig, letters, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Each stream's input letters and kept-letter mask, from its first 2n uniforms.
+
+    The block buffer is freed on return, before the kernel allocates its own.
+    """
+    n = cfg.n
+    inputs = np.empty((len(seeds), n), dtype=np.int8)
+    keep = np.empty((len(seeds), n), dtype=bool)
+    for row, block in stream_blocks(seeds, 2 * n):
+        letters(block[:, :n], inputs[row : row + len(block)])
+        np.greater_equal(block[:, n:], cfg.d, out=keep[row : row + len(block)])
+    return inputs, keep
+
+
 def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> McMutualInformation:
     """Monte Carlo estimate of I in nats, one (input, output) draw per trial.
 
@@ -197,41 +219,44 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
     P(z) = E[Z(z)] d^(n-|z|) (1-d)^|z|, the deletion weights cancel in
     the information density, leaving ln Z_x(z) - ln E[Z(z)] per sampled
     pair.  Each trial costs one count DP, so this route has no n cap.
-    Trial t draws its input, then its deletion mask, from its own stream;
-    BATCH_SIZE trials share one kernel call, one output word per row.
-    ln p_y is a running ``np.cumsum`` over the word's letter logs, so the
-    sum is taken left to right in every Python version (``sum`` over
-    floats is compensated from Python 3.12 on), and the per-trial terms
-    are added in trial order.
+    Trial t draws 2n uniforms from its own stream into a row of a block
+    (``stream_blocks``): its input's letters, then its deletion mask.
+    BATCH_SIZE trials share one kernel call, one output word per row,
+    and everything after the draw is a block operation.  ln p_y is a
+    running ``np.cumsum`` over the word's letter logs, so the sum is
+    taken left to right in every Python version (``sum`` over floats is
+    compensated from Python 3.12 on); ln Z takes ``math.log`` per row,
+    and the running sums of the densities and their squares are
+    ``np.cumsum`` over the previous sum and the span's values, which adds
+    in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = cfg.n
     ln_p = np.array([math.log(p) for p in cfg.dist.probs])
-    ln_binom = [log_binomial(n, k) for k in range(n + 1)]
-    draw = _letter_sampler(cfg.dist).draw
+    ln_binom = _ln_binomials(n)
+    letters = _letter_sampler(cfg.dist).letters
     total = 0.0
     total_sq = 0.0
     for lo in range(0, trials, BATCH_SIZE):
-        inputs, outputs = [], []
-        seeds = [derive_seed(master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, trials))]
-        for gen in stream_generators(seeds):
-            inputs.append(draw(gen, n))
-            outputs.append(inputs[-1][gen.random(n) >= cfg.d])
-        words = np.full((len(outputs), max(y.size for y in outputs)), -1, dtype=np.int8)
-        for row, y in enumerate(outputs):
-            words[row, : y.size] = y
-        z, shift = _float_counts(np.stack(inputs), words)
+        inputs, keep = _draw_span(cfg, letters, derive_seeds(master_seed, lo, min(lo + BATCH_SIZE, trials)))
+        ends = np.count_nonzero(keep, axis=1)
+        words = np.full((len(inputs), ends.max()), -1, dtype=np.int8)
+        # the kept letters in row-major order (compress: inputs[keep], at a quarter of the time)
+        words[np.arange(words.shape[1]) < ends[:, None]] = inputs.compress(keep.ravel())
+        z, shift = _float_counts(inputs, words)
         # ln p_y: the letter logs of each word added left to right, padding past its end
-        ln_py = np.cumsum(ln_p[words], axis=1)
-        for row, y in enumerate(outputs):
-            if y.size:  # an empty output carries zero information density
-                ln_ez = ln_binom[y.size] + float(ln_py[row, y.size - 1])
-                val = (math.log(z[row]) + float(shift[row])) - ln_ez
-                total += val
-                total_sq += val * val
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
+        ln_py = ln_p.take(words)
+        np.cumsum(ln_py, axis=1, out=ln_py)
+        kept = np.flatnonzero(ends)  # an empty output carries zero information density
+        size = ends[kept]
+        ln_ez = ln_binom[size] + ln_py[kept, size - 1]
+        ln_z = np.fromiter(map(math.log, z[kept].tolist()), float, len(kept))
+        vals = (ln_z + shift[kept]) - ln_ez
+        total = np.cumsum(np.concatenate(([total], vals)))[-1]
+        total_sq = np.cumsum(np.concatenate(([total_sq], vals * vals)))[-1]
+    mean = float(total) / trials
+    var = max(float(total_sq) / trials - mean * mean, 0.0)
     return McMutualInformation(trials, mean, math.sqrt(var / trials))
 
 

@@ -36,7 +36,7 @@ from .moments import (
     random_pattern_expected_sigma1,
 )
 from .simulation import ExperimentConfig, PatternSpec, run_experiments
-from .source_model import Alphabet, SourceDist, batch_letters, derive_seed
+from .source_model import Alphabet, SourceDist, batch_letters, derive_seeds
 
 DEFAULT_SEEDS = (101, 211, 307, 401, 503)
 
@@ -266,7 +266,7 @@ def random_pattern_sample_mean(dist, n, m, count, master_seed):
     rows = occupancy_rows(n, m, 1, n)
     probs = np.asarray(dist.probs)
     vals = np.empty(count)
-    words = batch_letters(dist, m, [derive_seed(master_seed, k) for k in range(count)])
+    words = batch_letters(dist, m, derive_seeds(master_seed, 0, count))
     for k, word in enumerate(words):
         total = np.zeros(n)
         for a in range(dist.alphabet.size):

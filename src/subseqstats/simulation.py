@@ -50,6 +50,7 @@ from .source_model import (
     _letter_sampler,
     batch_letters,
     derive_seed,
+    derive_seeds,
     generate_text,
     stream_generators,
 )
@@ -252,7 +253,7 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
 
 def _count_span(cfg: ExperimentConfig, pattern: Pattern, lo: int) -> np.ndarray:
     """Raw counts of trials lo .. lo + BATCH_SIZE - 1: N_a for a^m, ln Z otherwise."""
-    seeds = [derive_seed(cfg.master_seed, t) for t in range(lo, min(lo + BATCH_SIZE, cfg.trials))]
+    seeds = derive_seeds(cfg.master_seed, lo, min(lo + BATCH_SIZE, cfg.trials))
     if pattern.is_constant:
         count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
         return np.array([count(rng, cfg.n, a) for rng in stream_generators(seeds)], dtype=np.int64)

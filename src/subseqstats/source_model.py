@@ -6,9 +6,11 @@ appear only at construction and display time.  Generation is driven by a
 per-stream seed so that a master seed plus a trial index always yields
 the same text regardless of how trials are grouped into batches.  The
 streams of a batch share one Generator, set to each seed's PCG64 start
-state, which a numpy port of ``SeedSequence`` computes.  One sampler
-turns a stream's uniforms into letters, or into the count of one letter
-without forming the letters.
+state, which a numpy port of ``SeedSequence`` computes; ``derive_seeds``
+gives a span's stream seeds as one uint64 array.  Streams fill the rows
+of a reused block of uniforms (``stream_blocks``), and one sampler turns
+a whole block into letters, or a stream's uniforms into the count of one
+letter without forming the letters.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MAX_DENOMINATOR = 10**6
+_GOLDEN64 = 0x9E3779B97F4A7C15
+# a block of stream uniforms holds at most this many cells, or one stream if that is longer
+_BLOCK_CELLS = 2**16
 
 
 def left_sum(values) -> float:
@@ -45,12 +50,36 @@ def derive_seed(master_seed: int, stream_index: int) -> int:
         raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
     if stream_index < 0:
         raise ValueError("stream_index must be nonnegative")
-    x = (master_seed + (stream_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    x = (master_seed + (stream_index + 1) * _GOLDEN64) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
+    return x
+
+
+def derive_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_seed(master_seed, t)`` for t in [lo, hi), as a uint64 array.
+
+    The same SplitMix64 steps on uint64 arrays, which wrap modulo 2^64
+    without a warning (numpy scalars would warn).  Master seeds outside
+    [0, 2^64) and a negative ``lo`` are rejected as ``derive_seed`` does.
+    """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
+    if lo < 0:
+        raise ValueError("stream_index must be nonnegative")
+    if hi < lo:
+        raise ValueError(f"stream index range [{lo}, {hi}) is reversed")
+    x = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN64)
+    x += np.uint64(master_seed)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -258,29 +287,30 @@ def _alias_tables(probs):
 
 
 class _Sampler(NamedTuple):
-    draw: Callable[[np.random.Generator, int], np.ndarray]
+    letters: Callable[[np.ndarray, np.ndarray], np.ndarray]
     count: Callable[[np.random.Generator, int, int], int]
 
 
 def _letter_sampler(dist: SourceDist) -> _Sampler:
-    """Letters, or the count of one letter, from n uniforms of a stream.
+    """Letters from a block of uniforms, or the count of one letter from a stream.
 
-    ``draw(rng, n)`` returns n int8 letters; ``count(rng, n, a)`` how many
-    of them are a, from the same uniforms but forming no letter.  Up to
-    ``_SCAN_MAX`` letters, U gives letter a iff cum[a-1] <= U < cum[a] for
-    the float CDF cum; the last letter also takes U >= cum[k-1], which
-    rounding can leave below 1.  Tables are built once per sampler.
+    ``letters(u, out)`` writes the letter of every uniform of the float
+    array u into the int8 array ``out`` of u's shape and returns it;
+    ``count(rng, n, a)`` how many of the stream's next n uniforms give
+    letter a, forming no letter.  Up to ``_SCAN_MAX`` letters, U gives
+    letter a iff cum[a-1] <= U < cum[a] for the float CDF cum; the last
+    letter also takes U >= cum[k-1], which rounding can leave below 1.
+    Tables are built once per sampler.
     """
     k = dist.alphabet.size
     if k <= _SCAN_MAX:
         cum = np.cumsum(np.asarray(dist.probs))
 
-        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            u = rng.random(n)
-            idx = (u >= cum[0]).view(np.int8)
+        def letters(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.greater_equal(u, cum[0], out=out.view(np.bool_))
             for c in cum[1 : k - 1]:
-                idx += u >= c
-            return idx
+                out += u >= c
+            return out
 
         def count(rng: np.random.Generator, n: int, a: int) -> int:
             u = rng.random(n)
@@ -290,17 +320,18 @@ def _letter_sampler(dist: SourceDist) -> _Sampler:
     else:
         accept, alias = _alias_tables(dist.probs)
 
-        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            v = rng.random(n) * k
+        def letters(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            v = u * k
             idx = v.astype(np.int64)
             np.minimum(idx, k - 1, out=idx)
             frac = v - idx
-            return np.where(frac < accept[idx], idx, alias[idx]).astype(np.int8)
+            out[...] = np.where(frac < accept[idx], idx, alias[idx])
+            return out
 
         def count(rng: np.random.Generator, n: int, a: int) -> int:
-            return np.count_nonzero(draw(rng, n) == a)
+            return np.count_nonzero(letters(rng.random(n), np.empty(n, dtype=np.int8)) == a)
 
-    return _Sampler(draw, count)
+    return _Sampler(letters, count)
 
 
 def _hash_multipliers(init: int, mult: int, calls: int) -> np.ndarray:
@@ -322,7 +353,17 @@ def _hash(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def _seed_sequence_words(seeds: list) -> np.ndarray:
+def _seed_array(seeds) -> np.ndarray:
+    """Stream seeds as a uint64 array; seeds outside [0, 2^64) are rejected."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    seeds = list(seeds)
+    if seeds and (min(seeds) < 0 or max(seeds) > _MASK64):
+        raise ValueError("stream seeds must lie in [0, 2^64)")
+    return np.array(seeds, dtype=np.uint64)
+
+
+def _seed_sequence_words(seeds) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, one column per seed.
 
     A port of numpy's ``SeedSequence`` (O'Neill's seed_seq_fe hash) on
@@ -330,10 +371,8 @@ def _seed_sequence_words(seeds: list) -> np.ndarray:
     (numpy's pad for a seed below 2^32, hashmix(0), equals a zero high
     word).  Seeds outside [0, 2^64) are rejected.
     """
-    if seeds and (min(seeds) < 0 or max(seeds) > _MASK64):
-        raise ValueError("stream seeds must lie in [0, 2^64)")
-    s64 = np.array(seeds, dtype=np.uint64)
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    s64 = _seed_array(seeds)
+    pool = np.zeros((4, len(s64)), dtype=np.uint32)
     pool[0] = s64 & 0xFFFFFFFF
     pool[1] = s64 >> 32
     pool = _hash(pool, _POOL_HASH[:5])
@@ -349,21 +388,45 @@ def _seed_sequence_words(seeds: list) -> np.ndarray:
 def stream_generators(seeds):
     """Yield a Generator in the start state of numpy's PCG64 seeded with each seed in turn.
 
-    One Generator is reused, its state set before each yield, so a caller
-    takes all of a stream's draws before the next.  States are computed
-    256 seeds at a time, which keeps the state table small.
+    ``seeds`` is a uint64 array (``derive_seeds``) or any iterable of
+    ints.  One Generator is reused, and one state dict, set before each
+    yield, so a caller takes all of a stream's draws before the next.
+    States are computed 256 seeds at a time, which keeps the state table
+    small.
     """
-    seeds = list(seeds)
+    seeds = _seed_array(seeds)
     gen = np.random.default_rng(0)
+    pcg = gen.bit_generator
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {"state": 0, "inc": 0}}
+    lcg = state["state"]
     for lo in range(0, len(seeds), 256):
         words = _seed_sequence_words(seeds[lo : lo + 256]).tolist()
         for hi_state, lo_state, hi_seq, lo_seq in zip(*words):
             # PCG64's seeding: two LCG steps from state 0, initstate added after the first
             inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
-            state = ((inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc) & _MASK128
-            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                       "state": {"state": state, "inc": inc}}
+            lcg["inc"] = inc
+            lcg["state"] = ((inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc) & _MASK128
+            pcg.state = state
             yield gen
+
+
+def stream_blocks(seeds, k: int):
+    """Yield (lo, block): row i of the float block holds the first k uniforms of stream lo + i.
+
+    Streams fill the rows of one reused buffer of at most _BLOCK_CELLS
+    cells (one row if k is larger), each with ``Generator.random(out=row)``,
+    which gives the bits of ``random(k)``.  A block is overwritten by the
+    next, so a caller reads it before asking for the next one.
+    """
+    seeds = _seed_array(seeds)
+    rows = max(1, _BLOCK_CELLS // max(k, 1))
+    buf = np.empty((min(rows, len(seeds)), k))
+    streams = stream_generators(seeds)
+    for lo in range(0, len(seeds), rows):
+        block = buf[: len(seeds) - lo]
+        for row, gen in zip(block, streams):
+            gen.random(out=row)
+        yield lo, block
 
 
 def generate_text(dist: SourceDist, n: int, seed: int) -> Text:
@@ -377,13 +440,15 @@ def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
     """Stack texts for several stream seeds into a (len(seeds), n) int8 array.
 
     Each row is generated from its own PCG64 stream, so the rows do not
-    depend on how the seeds were grouped into batches.
+    depend on how the seeds were grouped into batches.  The streams fill
+    blocks of uniforms (``stream_blocks``), and each block becomes letters
+    in one pass of the sampler over the whole block.
     """
-    seeds = list(stream_seeds)
-    draw = _letter_sampler(dist).draw
+    seeds = _seed_array(stream_seeds)
+    letters = _letter_sampler(dist).letters
     out = np.empty((len(seeds), n), dtype=np.int8)
-    for row, rng in enumerate(stream_generators(seeds)):
-        out[row] = draw(rng, n)
+    for lo, block in stream_blocks(seeds, n):
+        letters(block, out[lo : lo + len(block)])
     return out
 
 

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import AB, binary_dist, make_pattern
 from subseqstats.channel import (
     ChannelConfig,
     McMoments,
+    McMutualInformation,
     conditional_row_sums,
     exact_mutual_information_direct,
     exact_mutual_information_via_counts,
@@ -17,9 +20,10 @@ from subseqstats.channel import (
     mc_mutual_information,
     nats_to_bits,
 )
-from subseqstats.counting import count_subsequences
-from subseqstats.moments import expected_count
-from subseqstats.source_model import Alphabet, SourceDist, Text
+from subseqstats.counting import _float_counts, count_subsequences
+from subseqstats.moments import expected_count, log_binomial
+from subseqstats.simulation import BATCH_SIZE
+from subseqstats.source_model import Alphabet, SourceDist, Text, derive_seed
 
 
 def cfg_for(p0: float, n: int, d: float) -> ChannelConfig:
@@ -132,6 +136,61 @@ def test_mc_mutual_information_beyond_enumeration_cap():
     cfg = cfg_for(0.5, 40, 0.5)
     est = mc_mutual_information(cfg, 2000, 3)
     assert 0.0 < est.mi < 40 * math.log(2.0)
+
+
+def _per_row_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> McMutualInformation:
+    """Frozen copy of the per-trial Monte Carlo that the block draw replaced.
+
+    Trial t takes n letters by the CDF compare, then n mask uniforms, from
+    numpy's own PCG64 seeded with derive_seed(master_seed, t); densities
+    are added one trial at a time.
+    """
+    n = cfg.n
+    ln_p = np.array([math.log(p) for p in cfg.dist.probs])
+    ln_binom = [log_binomial(n, k) for k in range(n + 1)]
+    cum = np.cumsum(np.asarray(cfg.dist.probs))
+    total = 0.0
+    total_sq = 0.0
+    for lo in range(0, trials, BATCH_SIZE):
+        inputs, outputs = [], []
+        for t in range(lo, min(lo + BATCH_SIZE, trials)):
+            gen = np.random.Generator(np.random.PCG64(derive_seed(master_seed, t)))
+            inputs.append((gen.random(n) >= cum[0]).view(np.int8))
+            outputs.append(inputs[-1][gen.random(n) >= cfg.d])
+        words = np.full((len(outputs), max(y.size for y in outputs)), -1, dtype=np.int8)
+        for row, y in enumerate(outputs):
+            words[row, : y.size] = y
+        z, shift = _float_counts(np.stack(inputs), words)
+        ln_py = np.cumsum(ln_p[words], axis=1)
+        for row, y in enumerate(outputs):
+            if y.size:
+                ln_ez = ln_binom[y.size] + float(ln_py[row, y.size - 1])
+                val = (math.log(z[row]) + float(shift[row])) - ln_ez
+                total += val
+                total_sq += val * val
+    mean = total / trials
+    var = max(total_sq / trials - mean * mean, 0.0)
+    return McMutualInformation(trials, mean, math.sqrt(var / trials))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p0=st.floats(0.01, 0.99),
+    n=st.integers(1, 40),
+    d=st.sampled_from((0.01, 0.3, 0.5, 0.9, 0.99)) | st.floats(0.01, 0.99),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(p0=0.5, n=1, d=0.99, trials=5, seed=3)  # every output empty
+@example(p0=0.5, n=1, d=0.99, trials=BATCH_SIZE + 3, seed=3)  # the second span's outputs all empty
+@example(p0=0.7, n=3, d=0.3, trials=2 * BATCH_SIZE + 17, seed=2**64 - 1)  # sums carried over three spans
+@example(p0=0.5, n=40, d=0.01, trials=300, seed=0)
+def test_mc_mutual_information_bits_equal_per_row_oracle(p0, n, d, trials, seed):
+    cfg = cfg_for(p0, n, d)
+    got = mc_mutual_information(cfg, trials, seed)
+    want = _per_row_mutual_information(cfg, trials, seed)
+    assert got.trials == want.trials == trials
+    assert (got.mi.hex(), got.stderr.hex()) == (want.mi.hex(), want.stderr.hex())
 
 
 def test_mc_rejects_master_seeds_outside_64_bits():

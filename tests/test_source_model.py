@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conftest import AB, binary_dist
+from subseqstats import source_model
 from subseqstats.source_model import (
     Alphabet,
     Pattern,
@@ -19,6 +20,7 @@ from subseqstats.source_model import (
     _seed_sequence_words,
     batch_letters,
     derive_seed,
+    derive_seeds,
     generate_text,
     proportion_distance,
     stream_generators,
@@ -147,6 +149,30 @@ def test_derive_seed_rejects_master_seeds_outside_64_bits():
 
 
 @settings(max_examples=200, deadline=None)
+@given(master=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**40), count=st.integers(0, 40))
+@example(master=0, lo=0, count=5)
+@example(master=2**64 - 1, lo=0, count=5)
+@example(master=2**64 - 1, lo=2**33, count=3)
+@example(master=7, lo=12, count=0)
+def test_derive_seeds_equals_derive_seed(master, lo, count):
+    # uint64 arithmetic on arrays wraps without a warning; any warning fails the test
+    got = derive_seeds(master, lo, lo + count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == [derive_seed(master, t) for t in range(lo, lo + count)]
+
+
+def test_derive_seeds_rejects_what_derive_seed_rejects():
+    # a bare np.uint64(master) would raise OverflowError instead
+    for master in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError):
+            derive_seeds(master, 0, 3)
+    with pytest.raises(ValueError):
+        derive_seeds(5, -1, 3)
+    with pytest.raises(ValueError):
+        derive_seeds(5, 4, 3)
+
+
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1))
 @example(seed=0)
 @example(seed=1)
@@ -208,6 +234,54 @@ def test_batch_letters_matches_scalar_path():
             assert np.array_equal(row, generate_text(d, 64, seed).letters)
 
 
+def _letters_of_stream(dist: SourceDist, n: int, seed) -> np.ndarray:
+    """The sampler's letters of n uniforms from a fresh numpy PCG64 seeded with seed."""
+    u = np.random.Generator(np.random.PCG64(int(seed))).random(n)
+    return _letter_sampler(dist).letters(u, np.empty(n, dtype=np.int8))
+
+
+_THREE = SourceDist(Alphabet.from_string("abc"), (0.2, 0.5, 0.3))
+_FIVE = SourceDist(Alphabet.from_string("abcde"), (0.05, 0.1, 0.15, 0.3, 0.4))
+
+
+@pytest.mark.parametrize("dist", [binary_dist(0.7), _THREE, _FIVE], ids=["two", "three", "five"])
+@pytest.mark.parametrize(
+    "n, streams",
+    [
+        (0, 3),  # no uniforms at all
+        (1000, 65),  # exactly one block of 2^16 // 1000 = 65 rows
+        (1000, 131),  # two full blocks and one row more
+        (2**16, 2),  # one row fills a block
+        (2**16 + 3, 3),  # a row longer than a block: one row per block
+    ],
+)
+def test_batch_letters_rows_across_block_boundaries(dist, n, streams):
+    seeds = derive_seeds(41, 0, streams)
+    block = batch_letters(dist, n, seeds)
+    assert block.dtype == np.int8 and block.shape == (streams, n)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, _letters_of_stream(dist, n, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.sampled_from((1, 5, 64, 999)),
+    n=st.integers(0, 70),
+    streams=st.integers(0, 30),
+    five=st.booleans(),
+)
+def test_batch_letters_rows_for_any_block_size(cells, n, streams, five):
+    # a smaller block puts every boundary case into a few cheap calls
+    dist = _FIVE if five else _THREE
+    seeds = derive_seeds(43, 0, streams)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(source_model, "_BLOCK_CELLS", cells)
+        block = batch_letters(dist, n, seeds)
+    assert block.shape == (streams, n)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, _letters_of_stream(dist, n, seed))
+
+
 def test_law_of_large_numbers_uniform():
     d = binary_dist(0.5)
     t = generate_text(d, 1_000_000, 7)
@@ -246,7 +320,7 @@ def test_alias_sampling_path_frequencies():
     assert np.array_equal(t.letters, generate_text(d, 200_000, 11).letters)
 
 
-# ---- the letter sampler's draw and count paths --------------------------------
+# ---- the letter sampler's block and count paths -------------------------------
 
 
 def _source(weights) -> SourceDist:
@@ -276,7 +350,7 @@ def test_count_matches_drawn_letters(weights, short, seed, n):
     dist = short or _source(weights)
     k = dist.alphabet.size
     sampler = _letter_sampler(dist)
-    letters = sampler.draw(_generator(seed), n)
+    letters = batch_letters(dist, n, [seed])[0]
     assert letters.dtype == np.int8 and letters.shape == (n,)
     assert np.all((letters >= 0) & (letters < k))
     for a in range(k):
@@ -311,7 +385,9 @@ def test_letters_and_counts_at_cdf_edges(case):
     k = dist.alphabet.size
     assert cum[-1] < 1.0
     sampler = _letter_sampler(dist)
-    letters = sampler.draw(_FixedUniforms(u), len(u))
+    # the uniforms as one row of a block
+    block = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    letters = sampler.letters(block, np.empty(block.shape, dtype=np.int8))[0]
     assert letters.dtype == np.int8 and np.all((letters >= 0) & (letters < k))
     if k <= 4:
         # inverse-CDF search with the top index clamped to the last letter
