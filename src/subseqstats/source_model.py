@@ -254,37 +254,6 @@ class Text:
 
 # ---- sampling --------------------------------------------------------
 
-# alphabets up to this size compare each uniform with the CDF; larger ones use an alias table
-_SCAN_MAX = 4
-
-
-def _alias_tables(probs):
-    """Vose alias construction; deterministic for a fixed probs tuple."""
-    k = len(probs)
-    accept = np.zeros(k)
-    alias = np.zeros(k, dtype=np.int64)
-    scaled = [p * k for p in probs]
-    small = [i for i, s in enumerate(scaled) if s < 1.0]
-    large = [i for i, s in enumerate(scaled) if s >= 1.0]
-    while small and large:
-        lo = small.pop()
-        hi = large.pop()
-        accept[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        if scaled[hi] < 1.0:
-            small.append(hi)
-        else:
-            large.append(hi)
-    for i in large:
-        accept[i] = 1.0
-        alias[i] = i
-    for i in small:
-        # only reachable through rounding; total mass is conserved
-        accept[i] = 1.0
-        alias[i] = i
-    return accept, alias
-
 
 class _Sampler(NamedTuple):
     letters: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -297,39 +266,25 @@ def _letter_sampler(dist: SourceDist) -> _Sampler:
     ``letters(u, out)`` writes the letter of every uniform of the float
     array u into the int8 array ``out`` of u's shape and returns it;
     ``count(rng, n, a)`` how many of the stream's next n uniforms give
-    letter a, forming no letter.  Up to ``_SCAN_MAX`` letters, U gives
-    letter a iff cum[a-1] <= U < cum[a] for the float CDF cum; the last
-    letter also takes U >= cum[k-1], which rounding can leave below 1.
-    Tables are built once per sampler.
+    letter a, forming no letter.  U gives letter a iff
+    cum[a-1] <= U < cum[a] for the float CDF cum; the last letter also
+    takes U >= cum[k-1], which rounding can leave below 1.  The letters
+    are the compare-sum of U with cum[0], ..., cum[k-2]: k - 1 passes over
+    the block, which beyond about 40 letters is slower than an alias step.
     """
     k = dist.alphabet.size
-    if k <= _SCAN_MAX:
-        cum = np.cumsum(np.asarray(dist.probs))
+    cum = np.cumsum(np.asarray(dist.probs))
 
-        def letters(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.greater_equal(u, cum[0], out=out.view(np.bool_))
-            for c in cum[1 : k - 1]:
-                out += u >= c
-            return out
+    def letters(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.greater_equal(u, cum[0], out=out.view(np.bool_))
+        for c in cum[1 : k - 1]:
+            out += u >= c
+        return out
 
-        def count(rng: np.random.Generator, n: int, a: int) -> int:
-            u = rng.random(n)
-            below = n if a == k - 1 else np.count_nonzero(u < cum[a])
-            return below - (np.count_nonzero(u < cum[a - 1]) if a else 0)
-
-    else:
-        accept, alias = _alias_tables(dist.probs)
-
-        def letters(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-            v = u * k
-            idx = v.astype(np.int64)
-            np.minimum(idx, k - 1, out=idx)
-            frac = v - idx
-            out[...] = np.where(frac < accept[idx], idx, alias[idx])
-            return out
-
-        def count(rng: np.random.Generator, n: int, a: int) -> int:
-            return np.count_nonzero(letters(rng.random(n), np.empty(n, dtype=np.int8)) == a)
+    def count(rng: np.random.Generator, n: int, a: int) -> int:
+        u = rng.random(n)
+        below = n if a == k - 1 else np.count_nonzero(u < cum[a])
+        return below - (np.count_nonzero(u < cum[a - 1]) if a else 0)
 
     return _Sampler(letters, count)
 

@@ -222,7 +222,7 @@ def test_generate_text_deterministic():
 
 
 def test_batch_letters_matches_scalar_path():
-    # three letters take the inverse-CDF path, five the alias tables
+    # three and five letters, both through the one compare-sum sampler
     for d in (
         SourceDist(Alphabet.from_string("abc"), (0.2, 0.5, 0.3)),
         SourceDist(Alphabet.from_string("abcde"), (0.05, 0.1, 0.15, 0.3, 0.4)),
@@ -310,8 +310,8 @@ def test_chi_square_across_seeds():
     assert bad <= 1
 
 
-def test_alias_sampling_path_frequencies():
-    # five letters forces the alias tables (linear scan handles <= 4)
+def test_five_letter_sampling_frequencies():
+    # five letters, drawn by the compare-sum like every alphabet size
     al = Alphabet.from_string("abcde")
     d = SourceDist(al, (0.05, 0.1, 0.15, 0.3, 0.4))
     t = generate_text(d, 200_000, 11)
@@ -323,15 +323,21 @@ def test_alias_sampling_path_frequencies():
 # ---- the letter sampler's block and count paths -------------------------------
 
 
+# the 127 symbols of the largest alphabet; its compare-sum peaks at 126 in int8
+_SYMBOLS = "".join(chr(0x100 + j) for j in range(127))
+# alphabet sizes from two letters up to the int8 limit
+_SIZES = (2, 3, 4, 5, 6, 8, 20, 40, 126, 127)
+
+
 def _source(weights) -> SourceDist:
     k = len(weights)
-    return SourceDist(Alphabet.from_string("abcde"[:k]), tuple(w / sum(weights) for w in weights))
+    return SourceDist(Alphabet.from_string(_SYMBOLS[:k]), tuple(w / sum(weights) for w in weights))
 
 
 # float CDFs that end below 1.0: a uniform at or above cum[k-1] still maps to k-1
 _SHORT = [
-    SourceDist(Alphabet.from_string("abcde"[:k]), (1.0 / k,) * (k - 1) + (1.0 / k - 1e-13,))
-    for k in range(2, 6)
+    SourceDist(Alphabet.from_string(_SYMBOLS[:k]), (1.0 / k,) * (k - 1) + (1.0 / k - 1e-13,))
+    for k in _SIZES
 ]
 
 
@@ -339,9 +345,15 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+@st.composite
+def _weights(draw):
+    k = draw(st.sampled_from(_SIZES) | st.integers(2, 127))
+    return draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
+    weights=_weights(),
     short=st.sampled_from([None, *_SHORT]),
     seed=st.integers(0, 2**64 - 1),
     n=st.integers(0, 400),
@@ -389,9 +401,8 @@ def test_letters_and_counts_at_cdf_edges(case):
     block = np.asarray(u, dtype=np.float64).reshape(1, -1)
     letters = sampler.letters(block, np.empty(block.shape, dtype=np.int8))[0]
     assert letters.dtype == np.int8 and np.all((letters >= 0) & (letters < k))
-    if k <= 4:
-        # inverse-CDF search with the top index clamped to the last letter
-        want = np.minimum(np.searchsorted(cum, np.asarray(u), side="right"), k - 1)
-        assert np.array_equal(letters, want)
+    # inverse-CDF search with the top index clamped to the last letter
+    want = np.minimum(np.searchsorted(cum, np.asarray(u), side="right"), k - 1)
+    assert np.array_equal(letters, want)
     for a in range(k):
         assert sampler.count(_FixedUniforms(u), len(u), a) == np.count_nonzero(letters == a)
