@@ -17,6 +17,12 @@ block of _BLOCK positions, over the block's union band, from a transposed
 copy of that block only.  The band drops the slots still at 0.0 and, in
 a tile whose counts cannot pass _RESCALE_LIMIT, the slots that can no
 longer reach a row's end; such a tile also skips the max check.
+
+In such a tile, when every row's word starts with the same run c^k,
+k >= 2, the slots 1..k of that run depend only on how many c's a row has
+read (Flajolet, Szpankowski and Vallee, "Hidden word statistics", 2006):
+slot k is read from one column of k sequential cumsums (_lead_column),
+so the band starts at slot k + 1.  Every count keeps its bits.
 """
 
 from __future__ import annotations
@@ -168,17 +174,48 @@ def _may_rescale(n: int, m: int) -> bool:
     return 2 * math.comb(n, min(m, n // 2)) >= _RESCALE_LIMIT
 
 
+def _leading_run(cols: np.ndarray, cap: int) -> int:
+    """Length k <= cap of the run c^k that starts every column's word, 0 if below 2.
+
+    Slot by slot, so words that differ early, as channel outputs do, cost
+    one comparison.
+    """
+    k = 0
+    while k < cap and (cols[k] == cols[0, 0]).all():
+        k += 1
+    return k if k >= 2 else 0
+
+
+def _lead_column(n: int, k: int) -> np.ndarray:
+    """Slot k of a word starting c^k after A letters c, for A = 0..n, unscaled.
+
+    At a c, slots 1..k add their left neighbour times 1.0, at any other
+    letter +0.0, both exact, so slot k depends on A only.  Each of the k
+    passes is one sequential np.cumsum, which adds in the recurrence's order.
+    """
+    column = np.ones(n + 1)
+    for _ in range(k):
+        column[1:] = np.cumsum(column[:-1])
+        column[0] = 0.0
+    return column
+
+
 def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     """One tile of rows of _float_counts, on buffers sized for that tile.
 
     Position t (0-based) updates only the live band of slots [a, b], with
     b = min(m, t + 1): every slot above b still holds an exact 0.0.  a = 1
     when a row of the tile may rescale (_may_rescale).  Otherwise
-    a = e_min - (n - 1 - t), e_min the tile's least row end, and the max
-    check is dropped: a slot below a can no longer reach any row's end and
-    feeds only other such slots.  Every add with hit = 1 still happens, in
-    the same order, and no rescale decision changes, so the bits are those
-    of the full update.
+    a = max(k + 1, e_min - (n - 1 - t)), e_min the tile's least row end,
+    and the max check is dropped: a slot below e_min - (n - 1 - t) can no
+    longer reach any row's end and feeds only other such slots.  k is the
+    leading run c^k that every row's word shares, at most e_min - 1, in a
+    tile that cannot rescale, or 0 when that run is shorter than 2.  Slots
+    1..k then take no update: before each position, slot k is set to its
+    value in _lead_column at the count of c's the row has read, gathered
+    with one ``np.take`` per block.  Every add with hit = 1 still happens,
+    in the same order, and no rescale decision changes, so the bits are
+    those of the full update.
     """
     (batch, n), m = texts.shape, len(cols)
     state = np.zeros((m + 1, batch))
@@ -187,22 +224,40 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     tmp = np.empty((m, batch))
     hit = np.empty((_BLOCK, m, batch), dtype=bool)
     rescales = _may_rescale(n, m)
-    # the band of position t starts at a = max(1, t + skip)
-    skip = -n if rescales else int(ends.min()) + 1 - n
+    e_min = int(ends.min())
+    # a rescale would scale the leading slots too, so such tiles keep k = 0
+    k = 0 if rescales else _leading_run(cols, e_min - 1)
+    if k:
+        column = _lead_column(n, k)
+        lead = np.empty((_BLOCK, batch))
+        # seen[t]: the c's each row has read before position lo + t
+        seen = np.zeros((_BLOCK + 1, batch), dtype=np.intp)
+    # the band of position t starts at a = max(k + 1, t + skip); views of
+    # the full band [k + 1, m], the band of most positions, are made once
+    skip = -n if rescales else e_min + 1 - n
+    below, band, prod = state[k:m], state[k + 1 :], tmp[k:]
+    hit_band = [hit[t, k:] for t in range(_BLOCK)]
     for lo in range(0, n, _BLOCK):
         block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
-        a, b = max(1, lo + skip), min(m, lo + len(block))
-        np.equal(block[:, None, :], cols[a - 1 : b], out=hit[: len(block), a - 1 : b])
-        for t in range(len(block)):
-            a, b = max(1, lo + t + skip), min(m, lo + t + 1)
-            if a == 1 and b == m:
-                # the same update on whole-array views, which cost less to make
-                np.multiply(state[:-1], hit[t], out=tmp)
-                state[1:] += tmp
+        size = len(block)
+        a, b = max(k + 1, lo + skip), min(m, lo + size)
+        np.equal(block[:, None, :], cols[a - 1 : b], out=hit[:size, a - 1 : b])
+        if k:
+            np.cumsum(block == cols[0, 0], axis=0, out=seen[1 : size + 1])
+            seen[1 : size + 1] += seen[0]
+            np.take(column, seen[:size], out=lead[:size])
+            seen[0] = seen[size]
+        for t in range(size):
+            a, b = max(k + 1, lo + t + skip), min(m, lo + t + 1)
+            if k:
+                state[k] = lead[t]
+            if a == k + 1 and b == m:
+                np.multiply(below, hit_band[t], out=prod)
+                band += prod
             else:
                 np.multiply(state[a - 1 : b], hit[t, a - 1 : b], out=tmp[a - 1 : b])
                 state[a : b + 1] += tmp[a - 1 : b]
-        if rescales and len(block) == _BLOCK:
+        if rescales and size == _BLOCK:
             hot = state.max(axis=0) > _RESCALE_LIMIT
             if hot.any():
                 state[:, hot] *= _RESCALE_FACTOR

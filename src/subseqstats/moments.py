@@ -162,16 +162,23 @@ def _tau_sq_block(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: i
     """tau_i^2 / C(n-1, m-1)^2 = sum_a S_a^2 / p_a - 1 for i = i_lo..i_hi.
 
     S_a sums row i over the pattern slots that use letter a, in slot
-    order.  Values are clamped at tiny negatives; one below -1e-9 means
-    the occupancy row lost too much precision and raises instead.
+    order: one vector add per slot over a transposed copy of the block
+    (np.add.reduce over its first axis), or, for a block of one row, which
+    numpy would sum pairwise, the last entry of a cumsum.  Values are
+    clamped at tiny negatives; one below -1e-9 means the occupancy row
+    lost too much precision and raises instead.
     """
     rows = occupancy_rows(n, pattern.length, i_lo, i_hi)
     word = np.asarray(pattern.word)
     sums = np.zeros((rows.shape[0], pattern.alphabet.size))
     letters = np.unique(word)
+    by_slot = np.ascontiguousarray(rows.T)
     for a in letters:
-        slots = rows if letters.size == 1 else rows[:, word == a]
-        sums[:, a] = np.cumsum(slots, axis=1)[:, -1]
+        slots = by_slot if letters.size == 1 else by_slot[word == a]
+        if len(rows) > 1:
+            sums[:, a] = np.add.reduce(slots, axis=0)
+        else:
+            sums[:, a] = np.cumsum(slots, axis=0)[-1]
     r = np.sum(sums * sums / np.asarray(dist.probs), axis=1) - 1.0
     bad = np.flatnonzero(r < -1e-9)
     if bad.size:

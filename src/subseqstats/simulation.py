@@ -39,7 +39,6 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .counting import batched_ln_counts
 from .moments import expected_count, log_binomial, sigma1_sq_normalized
@@ -185,6 +184,8 @@ def ks_statistic(values: np.ndarray, support: np.ndarray | None = None) -> float
     valid, and it does not charge the sample for the jumps every lattice
     law has against a continuous one.
     """
+    from scipy.special import ndtr  # imported here: it is most of the package's start-up
+
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.size
     if n == 0:
@@ -228,6 +229,8 @@ def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
 
 def _ln_binom_of_counts(counts: np.ndarray, m: int) -> np.ndarray:
     """ln C(counts, m) elementwise, -inf where counts < m."""
+    from scipy.special import gammaln  # imported here: it is most of the package's start-up
+
     out = np.full(counts.shape, -np.inf)
     ok = counts >= m
     if ok.any():
@@ -269,11 +272,11 @@ def _ln_counts_per_job(jobs, workers: int):
     patterns are counted on a span's letter block.  With ``workers`` > 1
     and more than one span in all, the spans of every job are mapped over
     one pool of up to ``workers`` processes forked for this generator
-    (fork: the children need not import numpy and scipy again; do not use
-    it from a process whose other threads hold locks).  A job is yielded
-    as soon as its last span is in, while later spans keep counting.
-    Spans join in order, so the output does not depend on ``workers``.
-    Close the generator to shut its pool down.
+    (fork: the children need not import the package and numpy again, and
+    never call scipy; do not use it from a process whose other threads
+    hold locks).  A job is yielded as soon as its last span is in, while
+    later spans keep counting.  Spans join in order, so the output does
+    not depend on ``workers``.  Close the generator to shut its pool down.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

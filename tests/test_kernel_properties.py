@@ -4,7 +4,8 @@ The kernel must track the exact big-integer count, and a row's bits must
 not depend on whether its word is shared or given per row, on extra
 padding columns, or on which other rows share its batch.  A frozen copy
 of the full-width tile kernel, which updates every slot at every
-position, pins the bits of the live-band kernel.
+position, pins the bits of the live-band kernel and of its leading-run
+column.
 """
 
 import math
@@ -178,16 +179,28 @@ def oracle_cases(draw):
     rows = draw(st.integers(1, 8), label="rows")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     texts = rng.integers(0, k, size=(rows, n)).astype(np.int8)
-    kind = draw(st.sampled_from(("shared", "outputs", "random")), label="kind")
+    kind = draw(st.sampled_from(("shared", "outputs", "random", "leading_run")), label="kind")
     if kind == "shared":  # a subsequence of row 0, so its count is not 0
         word = tuple(int(v) for v in texts[0][rng.random(n) >= draw(st.floats(0, 1))])
+    elif kind == "leading_run":  # every word starts with c^run, some with a longer run
+        c, run = int(rng.integers(0, k)), draw(st.integers(2, 8), label="run")
+        # "constant": words c^e; "one": one letter past each row's run, so
+        # an end one past the shared run when no row runs longer; "mixed":
+        # tails of 0 to 4 letters
+        tails = draw(st.sampled_from(("constant", "one", "mixed")), label="tails")
+        sizes = {"constant": [0] * rows, "one": [1] * rows, "mixed": rng.integers(0, 5, size=rows)}[tails]
+        words = [
+            (c,) * (run + int(rng.integers(0, 3))) + tuple(int(v) for v in rng.integers(0, k, size=size))
+            for size in sizes
+        ]
+        word = words[0] if draw(st.booleans(), label="one shared word") else _matrix(words)
     elif kind == "outputs":  # deletion-channel words: ends from 0 up to n
         d = draw(st.floats(0, 1), label="d")
         word = _matrix([tuple(row[rng.random(n) >= d]) for row in texts])
     else:  # ends up past n
         lengths = rng.integers(0, n + 4, size=rows)
         word = _matrix([tuple(rng.integers(0, k, size=e)) for e in lengths])
-    if kind != "shared":
+    if not isinstance(word, tuple):
         pad = np.full((rows, draw(st.integers(0, 3), label="pad")), -1, dtype=np.int8)
         word = np.concatenate([word, pad], axis=1)
     cells = draw(st.one_of(st.integers(1, 1500), st.just(counting._TILE_CELLS)), label="tile cells")
@@ -233,3 +246,35 @@ def test_no_rescale_bound_holds(n, data):
     if not counting._may_rescale(n, m):
         for word in ((0,) * m, tuple(int(v) for v in rng.integers(0, 2, size=m))):
             assert not _frozen_float_counts(texts, word)[1].any()
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 20, 75, 150])
+def test_lead_column_is_the_frozen_kernels_slot_k(k):
+    # row A reads A letters c = 0 and then only 1s, which add +0.0, so the
+    # full-width kernel's slot k ends at the column's entry A
+    n = 150
+    texts = (np.arange(n)[None, :] >= np.arange(n + 1)[:, None]).astype(np.int8)
+    z, shift = _frozen_recurrence(texts, np.zeros((k, n + 1), dtype=np.int8), np.full(n + 1, k))
+    column = counting._lead_column(n, k)
+    assert not shift.any()
+    assert np.array_equal(column.view(np.uint64), z.view(np.uint64))
+    for a in range(n + 1):
+        # exact while every slot up to k stays below 2^53
+        if math.comb(a, min(k, a // 2)) < 2**53:
+            assert column[a] == math.comb(a, k)
+
+
+def test_rescaling_tiles_build_no_lead_column(monkeypatch):
+    built = []
+    lead_column = counting._lead_column
+    monkeypatch.setattr(counting, "_lead_column", lambda n, k: built.append((n, k)) or lead_column(n, k))
+    rng = np.random.default_rng(3)
+    texts = (rng.random((4, 1200)) >= 0.95).astype(np.int8)
+    # a^600 b^2 passes 1e300 and rescales, so its leading run stays unused
+    assert counting._may_rescale(1200, 602)
+    assert _float_counts(texts, (0,) * 600 + (1,) * 2)[1].max() > 0
+    assert built == []
+    _float_counts(texts, (0,) * 20 + (1,) * 20)
+    assert built == [(1200, 20)]
+    _assert_matches_frozen(texts, (0,) * 600 + (1,) * 2)
+    _assert_matches_frozen(texts, (0,) * 20 + (1,) * 20)

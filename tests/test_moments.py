@@ -34,7 +34,7 @@ from subseqstats.moments import (
     xi_bound,
     _tau_sq_block,
 )
-from subseqstats.source_model import Alphabet, SourceDist, batch_letters, derive_seed
+from subseqstats.source_model import Alphabet, Pattern, SourceDist, batch_letters, derive_seed
 
 
 @pytest.fixture
@@ -322,6 +322,37 @@ def test_output_sums_add_left_to_right(p0, word, n):
     for j in p.word:
         ln_pw += math.log(dist.probs[j])
     assert dist.ln_prob(p.word).hex() == ln_pw.hex()
+
+
+def _frozen_tau_sq_block(dist, pattern, n, i_lo, i_hi):
+    """_tau_sq_block with every S_a the last entry of a cumsum along its row."""
+    rows = occupancy_rows(n, pattern.length, i_lo, i_hi)
+    word = np.asarray(pattern.word)
+    sums = np.zeros((rows.shape[0], pattern.alphabet.size))
+    for a in np.unique(word):
+        sums[:, a] = np.cumsum(rows[:, word == a], axis=1)[:, -1]
+    return np.maximum(np.sum(sums * sums / np.asarray(dist.probs), axis=1) - 1.0, 0.0)
+
+
+# S_a must add in slot order for blocks of every height: numpy sums a
+# one-row block pairwise, the transposed add of taller ones does not
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tau_sq_block_matches_frozen_cumsum_sums(data):
+    k = data.draw(st.integers(2, 4), label="letters")
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k), label="weights")
+    dist = SourceDist(Alphabet.from_string("abcd"[:k]), tuple(w / sum(weights) for w in weights))
+    n = data.draw(st.integers(1, 700), label="n")
+    m = data.draw(st.one_of(st.integers(1, min(n, 60)), st.integers(1, n)), label="m")
+    letters = data.draw(st.sampled_from((1, k)), label="word letters")
+    word = data.draw(st.lists(st.integers(0, letters - 1), min_size=m, max_size=m), label="word")
+    pattern = Pattern.from_indices(dist, word)
+    i_lo = data.draw(st.integers(1, n), label="i_lo")
+    height = data.draw(st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, n)), label="rows")
+    i_hi = min(n, i_lo + height - 1)
+    got = _tau_sq_block(dist, pattern, n, i_lo, i_hi)
+    want = _frozen_tau_sq_block(dist, pattern, n, i_lo, i_hi)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sigma1_monte_carlo_variance_oracle(dist):

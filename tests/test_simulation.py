@@ -164,12 +164,13 @@ def test_constant_sample_summary_writes_null_moments(tmp_path):
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    """The CLI, and every pool parent it forks, starts without scipy.stats.
-    A fresh interpreter: other test modules load scipy.stats into this one."""
+    """The CLI, and every pool parent it forks, starts without scipy.stats
+    or scipy.special.  A fresh interpreter: other test modules load both
+    into this one."""
     src = Path(simulation.__file__).resolve().parents[1]
     code = (
         "import sys, subseqstats, subseqstats.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'special'])))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
