@@ -235,7 +235,7 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
     n = cfg.n
     ln_p = np.array([math.log(p) for p in cfg.dist.probs])
     ln_binom = _ln_binomials(n)
-    letters = _letter_sampler(cfg.dist).letters
+    letters = _letter_sampler(cfg.dist)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, trials, BATCH_SIZE):

@@ -17,7 +17,7 @@ and not the jumps every discrete sample has against a continuous CDF.
 Trial t always draws its text from the stream seed derived from
 (master_seed, t), batches have a fixed size, and samples are written
 sorted, so a run's output bytes depend only on its configuration.  For
-a^m a trial counts N_a from its stream's uniforms and forms no letters.
+a^m a trial counts N_a in its row of a reused block of letters.
 Spans of BATCH_SIZE trials run in up to ``workers`` forked processes:
 one pool per call, shared by all seeds (``run_experiments`` takes every
 config of a multi-seed run), and each seed is summarized while later
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass
@@ -51,7 +52,7 @@ from .source_model import (
     derive_seed,
     derive_seeds,
     generate_text,
-    stream_generators,
+    stream_blocks,
 )
 
 BATCH_SIZE = 4096
@@ -100,22 +101,16 @@ class PatternSpec:
             if not self.word:
                 raise ValueError("explicit pattern spec has no word")
             return Pattern.from_indices(dist, self.word)
+        if self.kind not in ("constant", "alternating", "random"):
+            raise ValueError(f"unknown pattern spec kind {self.kind!r}")
+        if self.m < 1:
+            raise ValueError("pattern length must be at least 1")
         if self.kind == "constant":
-            if self.m < 1:
-                raise ValueError("pattern length must be at least 1")
             return Pattern.from_indices(dist, (self.symbol,) * self.m)
-        if self.kind == "alternating":
-            if self.m < 1:
-                raise ValueError("pattern length must be at least 1")
-            if dist.alphabet.size < 2:
-                raise ValueError("alternating pattern needs two symbols")
+        if self.kind == "alternating":  # every alphabet has at least two symbols
             return Pattern.from_indices(dist, tuple(j % 2 for j in range(self.m)))
-        if self.kind == "random":
-            if self.m < 1:
-                raise ValueError("pattern length must be at least 1")
-            drawn = generate_text(dist, self.m, derive_seed(self.pattern_seed, 0))
-            return Pattern.from_indices(dist, drawn.letters)
-        raise ValueError(f"unknown pattern spec kind {self.kind!r}")
+        drawn = generate_text(dist, self.m, derive_seed(self.pattern_seed, 0))
+        return Pattern.from_indices(dist, drawn.letters)
 
 
 @dataclass(frozen=True)
@@ -133,6 +128,7 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must lie in [0, 2^64)")
         if self.regime not in ROUTES:
@@ -255,12 +251,22 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
 
 
 def _count_span(cfg: ExperimentConfig, pattern: Pattern, lo: int) -> np.ndarray:
-    """Raw counts of trials lo .. lo + BATCH_SIZE - 1: N_a for a^m, ln Z otherwise."""
+    """Raw counts of trials lo .. lo + BATCH_SIZE - 1: N_a for a^m, ln Z otherwise.
+
+    For a^m each block of ``stream_blocks`` becomes letters in one reused int8
+    buffer, and N_a is counted row by row (a whole-block axis count is slower).
+    """
     seeds = derive_seeds(cfg.master_seed, lo, min(lo + BATCH_SIZE, cfg.trials))
-    if pattern.is_constant:
-        count, a = _letter_sampler(cfg.dist).count, pattern.word[0]
-        return np.array([count(rng, cfg.n, a) for rng in stream_generators(seeds)], dtype=np.int64)
-    return batched_ln_counts(batch_letters(cfg.dist, cfg.n, seeds), pattern.word)
+    if not pattern.is_constant:
+        return batched_ln_counts(batch_letters(cfg.dist, cfg.n, seeds), pattern.word)
+    letters, a = _letter_sampler(cfg.dist), pattern.word[0]
+    counts = np.empty(len(seeds), dtype=np.int64)
+    buf = None
+    for first, block in stream_blocks(seeds, cfg.n):  # only the last block can be shorter
+        buf = np.empty(block.shape, dtype=np.int8) if buf is None else buf[: len(block)]
+        for i, row in enumerate(letters(block, buf), first):
+            counts[i] = np.count_nonzero(row == a)
+    return counts
 
 
 def _ln_counts_per_job(jobs, workers: int):
@@ -268,7 +274,7 @@ def _ln_counts_per_job(jobs, workers: int):
     of ``jobs``, in job order.
 
     Every job's trials run in fixed spans of BATCH_SIZE streams.  For a^m,
-    Z = C(N_a, m) with N_a counted from each trial's uniforms; other
+    Z = C(N_a, m) with N_a counted in each trial's letters; other
     patterns are counted on a span's letter block.  With ``workers`` > 1
     and more than one span in all, the spans of every job are mapped over
     one pool of up to ``workers`` processes forked for this generator

@@ -7,10 +7,9 @@ per-stream seed so that a master seed plus a trial index always yields
 the same text regardless of how trials are grouped into batches.  The
 streams of a batch share one Generator, set to each seed's PCG64 start
 state, which a numpy port of ``SeedSequence`` computes; ``derive_seeds``
-gives a span's stream seeds as one uint64 array.  Streams fill the rows
-of a reused block of uniforms (``stream_blocks``), and one sampler turns
-a whole block into letters, or a stream's uniforms into the count of one
-letter without forming the letters.
+gives a span's stream seeds as one uint64 array.  Every uniform is read
+through ``stream_blocks``: streams fill the rows of a reused block, and
+one sampler turns a whole block into letters.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +42,10 @@ def derive_seed(master_seed: int, stream_index: int) -> int:
 
     SplitMix64 finalizer on master + index * golden-ratio increment.
     Distinct indices give well-spread seeds even for master seeds that
-    differ by small amounts.  Master seeds outside [0, 2^64) are rejected.
+    differ by small amounts.  Arguments that are not integers and master
+    seeds outside [0, 2^64) are rejected.
     """
+    master_seed, stream_index = operator.index(master_seed), operator.index(stream_index)
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
     if stream_index < 0:
@@ -64,8 +64,10 @@ def derive_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
 
     The same SplitMix64 steps on uint64 arrays, which wrap modulo 2^64
     without a warning (numpy scalars would warn).  Master seeds outside
-    [0, 2^64) and a negative ``lo`` are rejected as ``derive_seed`` does.
+    [0, 2^64), a negative ``lo`` and arguments that are not integers are
+    rejected as ``derive_seed`` does.
     """
+    master_seed, lo, hi = operator.index(master_seed), operator.index(lo), operator.index(hi)
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
     if lo < 0:
@@ -255,18 +257,11 @@ class Text:
 # ---- sampling --------------------------------------------------------
 
 
-class _Sampler(NamedTuple):
-    letters: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    count: Callable[[np.random.Generator, int, int], int]
+def _letter_sampler(dist: SourceDist):
+    """The function ``letters(u, out)`` that turns a block of uniforms into letters.
 
-
-def _letter_sampler(dist: SourceDist) -> _Sampler:
-    """Letters from a block of uniforms, or the count of one letter from a stream.
-
-    ``letters(u, out)`` writes the letter of every uniform of the float
-    array u into the int8 array ``out`` of u's shape and returns it;
-    ``count(rng, n, a)`` how many of the stream's next n uniforms give
-    letter a, forming no letter.  U gives letter a iff
+    It writes the letter of every uniform of the float array u into the
+    int8 array ``out`` of u's shape and returns it.  U gives letter a iff
     cum[a-1] <= U < cum[a] for the float CDF cum; the last letter also
     takes U >= cum[k-1], which rounding can leave below 1.  The letters
     are the compare-sum of U with cum[0], ..., cum[k-2]: k - 1 passes over
@@ -281,12 +276,7 @@ def _letter_sampler(dist: SourceDist) -> _Sampler:
             out += u >= c
         return out
 
-    def count(rng: np.random.Generator, n: int, a: int) -> int:
-        u = rng.random(n)
-        below = n if a == k - 1 else np.count_nonzero(u < cum[a])
-        return below - (np.count_nonzero(u < cum[a - 1]) if a else 0)
-
-    return _Sampler(letters, count)
+    return letters
 
 
 def _hash_multipliers(init: int, mult: int, calls: int) -> np.ndarray:
@@ -309,10 +299,10 @@ def _hash(v: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _seed_array(seeds) -> np.ndarray:
-    """Stream seeds as a uint64 array; seeds outside [0, 2^64) are rejected."""
+    """Stream seeds as a uint64 array; non-integers and seeds outside [0, 2^64) are rejected."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
-    seeds = list(seeds)
+    seeds = [operator.index(s) for s in seeds]
     if seeds and (min(seeds) < 0 or max(seeds) > _MASK64):
         raise ValueError("stream seeds must lie in [0, 2^64)")
     return np.array(seeds, dtype=np.uint64)
@@ -343,6 +333,7 @@ def _seed_sequence_words(seeds) -> np.ndarray:
 def stream_generators(seeds):
     """Yield a Generator in the start state of numpy's PCG64 seeded with each seed in turn.
 
+    The state setter behind ``stream_blocks``, its one caller in the package.
     ``seeds`` is a uint64 array (``derive_seeds``) or any iterable of
     ints.  One Generator is reused, and one state dict, set before each
     yield, so a caller takes all of a stream's draws before the next.
@@ -400,7 +391,7 @@ def batch_letters(dist: SourceDist, n: int, stream_seeds) -> np.ndarray:
     in one pass of the sampler over the whole block.
     """
     seeds = _seed_array(stream_seeds)
-    letters = _letter_sampler(dist).letters
+    letters = _letter_sampler(dist)
     out = np.empty((len(seeds), n), dtype=np.int8)
     for lo, block in stream_blocks(seeds, n):
         letters(block, out[lo : lo + len(block)])

@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from conftest import AB, binary_dist
 from subseqstats import source_model
+from subseqstats.simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, _count_span
 from subseqstats.source_model import (
     Alphabet,
     Pattern,
@@ -172,6 +173,32 @@ def test_derive_seeds_rejects_what_derive_seed_rejects():
         derive_seeds(5, 4, 3)
 
 
+def test_seeds_that_are_not_integers_rejected():
+    # a float seed would be truncated to an integer further down, silently;
+    # numpy integer seeds are integers and give the same streams as Python ints
+    d = binary_dist(0.5)
+    for bad in (1.5, 3.7, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            derive_seed(bad, 0)
+        with pytest.raises(TypeError):
+            derive_seeds(bad, 0, 4)
+        with pytest.raises(TypeError):
+            generate_text(d, 10, bad)
+        with pytest.raises(TypeError):
+            batch_letters(d, 10, np.array([1.0, bad]))
+        with pytest.raises(TypeError):
+            ExperimentConfig(d, PatternSpec.constant(0, 2), 10, 4, bad, "normal")
+    with pytest.raises(TypeError):
+        derive_seeds(5, 0.5, 3)
+    for good in (np.int64(5), np.uint64(5), np.int8(5)):
+        assert derive_seed(good, 0) == derive_seed(5, 0)
+        assert derive_seeds(good, 0, 4).tolist() == derive_seeds(5, 0, 4).tolist()
+        assert np.array_equal(generate_text(d, 10, good).letters, generate_text(d, 10, 5).letters)
+        cfg = ExperimentConfig(d, PatternSpec.constant(0, 2), 10, 4, good, "normal")
+        assert type(cfg.master_seed) is int and cfg.master_seed == 5
+    assert np.array_equal(batch_letters(d, 10, np.array([5, 6])), batch_letters(d, 10, [5, 6]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1))
 @example(seed=0)
@@ -237,7 +264,7 @@ def test_batch_letters_matches_scalar_path():
 def _letters_of_stream(dist: SourceDist, n: int, seed) -> np.ndarray:
     """The sampler's letters of n uniforms from a fresh numpy PCG64 seeded with seed."""
     u = np.random.Generator(np.random.PCG64(int(seed))).random(n)
-    return _letter_sampler(dist).letters(u, np.empty(n, dtype=np.int8))
+    return _letter_sampler(dist)(u, np.empty(n, dtype=np.int8))
 
 
 _THREE = SourceDist(Alphabet.from_string("abc"), (0.2, 0.5, 0.3))
@@ -320,7 +347,7 @@ def test_five_letter_sampling_frequencies():
     assert np.array_equal(t.letters, generate_text(d, 200_000, 11).letters)
 
 
-# ---- the letter sampler's block and count paths -------------------------------
+# ---- the letter sampler and the a^m span counts ---------------------------------
 
 
 # the 127 symbols of the largest alphabet; its compare-sum peaks at 126 in int8
@@ -341,8 +368,11 @@ _SHORT = [
 ]
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _constant_counts(dist: SourceDist, n: int, trials: int, master: int, a: int) -> np.ndarray:
+    """N_a of every trial of an a^m run, span by span, as the simulation counts it."""
+    cfg = ExperimentConfig(dist, PatternSpec.constant(a, 1), n, trials, master, "normal")
+    pattern = cfg.pattern_spec.resolve(dist)
+    return np.concatenate([_count_span(cfg, pattern, lo) for lo in range(0, trials, BATCH_SIZE)])
 
 
 @st.composite
@@ -355,29 +385,35 @@ def _weights(draw):
 @given(
     weights=_weights(),
     short=st.sampled_from([None, *_SHORT]),
-    seed=st.integers(0, 2**64 - 1),
-    n=st.integers(0, 400),
+    master=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 400),
+    trials=st.integers(1, 12),
 )
-def test_count_matches_drawn_letters(weights, short, seed, n):
+def test_count_matches_drawn_letters(weights, short, master, n, trials):
     dist = short or _source(weights)
     k = dist.alphabet.size
-    sampler = _letter_sampler(dist)
-    letters = batch_letters(dist, n, [seed])[0]
-    assert letters.dtype == np.int8 and letters.shape == (n,)
+    letters = batch_letters(dist, n, derive_seeds(master, 0, trials))
+    assert letters.dtype == np.int8 and letters.shape == (trials, n)
     assert np.all((letters >= 0) & (letters < k))
     for a in range(k):
-        assert sampler.count(_generator(seed), n, a) == np.count_nonzero(letters == a)
+        counts = _constant_counts(dist, n, trials, master, a)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.count_nonzero(letters == a, axis=1))
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose ``random(n)`` returns preset uniforms."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
-
-    def random(self, n):
-        assert n == self.u.size
-        return self.u.copy()
+@pytest.mark.parametrize(
+    "n, trials",
+    [
+        (600, 500),  # blocks of 2^16 // 600 = 109 rows, the last one short
+        (2**16 + 3, 3),  # a row longer than a block: one row per block
+        (8, BATCH_SIZE + 1),  # two spans, the second of one trial
+    ],
+)
+def test_constant_counts_across_block_and_span_edges(n, trials):
+    letters = batch_letters(_THREE, n, derive_seeds(29, 0, trials))
+    for a in range(_THREE.alphabet.size):
+        counts = _constant_counts(_THREE, n, trials, 29, a)
+        assert np.array_equal(counts, np.count_nonzero(letters == a, axis=1))
 
 
 @st.composite
@@ -393,16 +429,14 @@ def _uniforms_at_the_edges(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_uniforms_at_the_edges())
 def test_letters_and_counts_at_cdf_edges(case):
+    # a^m counts are counts of these letters, so the letters carry the check
     dist, cum, u = case
     k = dist.alphabet.size
     assert cum[-1] < 1.0
-    sampler = _letter_sampler(dist)
     # the uniforms as one row of a block
     block = np.asarray(u, dtype=np.float64).reshape(1, -1)
-    letters = sampler.letters(block, np.empty(block.shape, dtype=np.int8))[0]
+    letters = _letter_sampler(dist)(block, np.empty(block.shape, dtype=np.int8))[0]
     assert letters.dtype == np.int8 and np.all((letters >= 0) & (letters < k))
     # inverse-CDF search with the top index clamped to the last letter
     want = np.minimum(np.searchsorted(cum, np.asarray(u), side="right"), k - 1)
     assert np.array_equal(letters, want)
-    for a in range(k):
-        assert sampler.count(_FixedUniforms(u), len(u), a) == np.count_nonzero(letters == a)
