@@ -13,12 +13,16 @@ with Z = Z_X(w) over the random input X and the convention 0 ln 0 = 0.
 The module evaluates that identity from exact count tables and, as an
 independent route, evaluates H(output) - H(output | input) by direct
 subset enumeration of the channel law; both are exact up to float
-rounding and must agree.
+rounding and must agree.  The Monte Carlo routes run on the span driver
+of ``simulation``, trial t on the stream seed derived from
+(master_seed, t), as every experiment does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -27,8 +31,8 @@ import numpy as np
 
 from .counting import _float_counts
 from .moments import log_binomial
-from .simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, collect_ln_counts
-from .source_model import Pattern, SourceDist, _letter_sampler, derive_seeds, left_sum, stream_blocks
+from .simulation import ExperimentConfig, PatternSpec, _trial_spans, collect_ln_counts
+from .source_model import Pattern, SourceDist, _letter_sampler, left_sum, stream_blocks
 
 # exact enumeration walks all 2^n inputs and their 2^n subsets
 ENUM_N_LIMIT = 12
@@ -45,6 +49,7 @@ class ChannelConfig:
     def __post_init__(self):
         if self.dist.alphabet.size != 2:
             raise ValueError("deletion-channel analysis supports binary sources only")
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not (0.0 < self.d < 1.0):
@@ -163,9 +168,6 @@ def mc_count_moment(
     as in every other experiment with this master seed.
     """
     cfg = ExperimentConfig(dist, PatternSpec.explicit(pattern.word), n, trials, master_seed, "normal")
-    if n < pattern.length:
-        # every text gives Z = 0
-        return McMoments(trials, 0.0, -math.inf, 0.0, 0.0, 0.0)
     lnz = collect_ln_counts(cfg, pattern)
     z = np.exp(lnz)  # a zero count has ln Z = -inf and gives z = 0
     zl = z * np.where(np.isfinite(lnz), lnz, 0.0)
@@ -198,18 +200,35 @@ def _ln_binomials(n: int) -> np.ndarray:
     return row
 
 
-def _draw_span(cfg: ChannelConfig, letters, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Each stream's input letters and kept-letter mask, from its first 2n uniforms.
-
-    The block buffer is freed on return, before the kernel allocates its own.
+def _densities(cfg: ChannelConfig, seeds: np.ndarray) -> np.ndarray:
+    """Information densities of the trials of ``seeds`` whose output is not
+    empty, in trial order.  A stream's first n uniforms give its input's
+    letters, the next n its deletion mask.  ln p_y is a running
+    ``np.cumsum``, left to right in every Python version (``sum`` over
+    floats is compensated from Python 3.12 on), and ln Z is ``math.log``
+    per row.
     """
     n = cfg.n
+    letters = _letter_sampler(cfg.dist)
     inputs = np.empty((len(seeds), n), dtype=np.int8)
     keep = np.empty((len(seeds), n), dtype=bool)
     for row, block in stream_blocks(seeds, 2 * n):
         letters(block[:, :n], inputs[row : row + len(block)])
         np.greater_equal(block[:, n:], cfg.d, out=keep[row : row + len(block)])
-    return inputs, keep
+    del block  # free the block buffer before the kernel allocates its own
+    ends = np.count_nonzero(keep, axis=1)
+    words = np.full((len(inputs), ends.max()), -1, dtype=np.int8)
+    # the kept letters in row-major order (compress: inputs[keep], at a quarter of the time)
+    words[np.arange(words.shape[1]) < ends[:, None]] = inputs.compress(keep.ravel())
+    z, shift = _float_counts(inputs, words)
+    # ln p_y: the letter logs of each word added left to right, padding past its end
+    ln_py = np.array([math.log(p) for p in cfg.dist.probs]).take(words)
+    np.cumsum(ln_py, axis=1, out=ln_py)
+    kept = np.flatnonzero(ends)  # an empty output carries zero information density
+    size = ends[kept]
+    ln_ez = _ln_binomials(n)[size] + ln_py[kept, size - 1]
+    ln_z = np.fromiter(map(math.log, z[kept].tolist()), float, len(kept))
+    return (ln_z + shift[kept]) - ln_ez
 
 
 def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> McMutualInformation:
@@ -219,42 +238,19 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
     P(z) = E[Z(z)] d^(n-|z|) (1-d)^|z|, the deletion weights cancel in
     the information density, leaving ln Z_x(z) - ln E[Z(z)] per sampled
     pair.  Each trial costs one count DP, so this route has no n cap.
-    Trial t draws 2n uniforms from its own stream into a row of a block
-    (``stream_blocks``): its input's letters, then its deletion mask.
-    BATCH_SIZE trials share one kernel call, one output word per row,
-    and everything after the draw is a block operation.  ln p_y is a
-    running ``np.cumsum`` over the word's letter logs, so the sum is
-    taken left to right in every Python version (``sum`` over floats is
-    compensated from Python 3.12 on); ln Z takes ``math.log`` per row,
-    and the running sums of the densities and their squares are
-    ``np.cumsum`` over the previous sum and the span's values, which adds
-    in trial order.
+    Trial t draws 2n uniforms from its own stream, its input's letters
+    and then its deletion mask, on the span driver that runs every Monte
+    Carlo of the package; the trials of a span share one kernel call.
+    The sums of the densities and of their squares are each one
+    ``np.cumsum``, which adds in trial order.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n = cfg.n
-    ln_p = np.array([math.log(p) for p in cfg.dist.probs])
-    ln_binom = _ln_binomials(n)
-    letters = _letter_sampler(cfg.dist)
-    total = 0.0
-    total_sq = 0.0
-    for lo in range(0, trials, BATCH_SIZE):
-        inputs, keep = _draw_span(cfg, letters, derive_seeds(master_seed, lo, min(lo + BATCH_SIZE, trials)))
-        ends = np.count_nonzero(keep, axis=1)
-        words = np.full((len(inputs), ends.max()), -1, dtype=np.int8)
-        # the kept letters in row-major order (compress: inputs[keep], at a quarter of the time)
-        words[np.arange(words.shape[1]) < ends[:, None]] = inputs.compress(keep.ravel())
-        z, shift = _float_counts(inputs, words)
-        # ln p_y: the letter logs of each word added left to right, padding past its end
-        ln_py = ln_p.take(words)
-        np.cumsum(ln_py, axis=1, out=ln_py)
-        kept = np.flatnonzero(ends)  # an empty output carries zero information density
-        size = ends[kept]
-        ln_ez = ln_binom[size] + ln_py[kept, size - 1]
-        ln_z = np.fromiter(map(math.log, z[kept].tolist()), float, len(kept))
-        vals = (ln_z + shift[kept]) - ln_ez
-        total = np.cumsum(np.concatenate(([total], vals)))[-1]
-        total_sq = np.cumsum(np.concatenate(([total_sq], vals * vals)))[-1]
+    with closing(_trial_spans(_densities, [((cfg,), master_seed, trials)], 1)) as spans:
+        vals = next(spans)
+    total = np.cumsum(np.concatenate(([0.0], vals)))[-1]
+    total_sq = np.cumsum(np.concatenate(([0.0], vals * vals)))[-1]
     mean = float(total) / trials
     var = max(float(total_sq) / trials - mean * mean, 0.0)
     return McMutualInformation(trials, mean, math.sqrt(var / trials))

@@ -18,11 +18,13 @@ Trial t always draws its text from the stream seed derived from
 (master_seed, t), batches have a fixed size, and samples are written
 sorted, so a run's output bytes depend only on its configuration.  For
 a^m a trial counts N_a in its row of a reused block of letters.
-Spans of BATCH_SIZE trials run in up to ``workers`` forked processes:
-one pool per call, shared by all seeds (``run_experiments`` takes every
-config of a multi-seed run), and each seed is summarized while later
-spans still count.  Spans join in order, so the bytes are independent of
-``workers``.
+One span driver runs every Monte Carlo of the package, the channel's
+included: it alone forms the spans of BATCH_SIZE trials and derives
+their stream seeds, and it maps the spans over up to ``workers`` forked
+processes: one pool per call, shared by all seeds (``run_experiments``
+takes every config of a multi-seed run), and each seed is summarized
+while later spans still count.  Spans join in order, so the bytes are
+independent of ``workers``.
 
 A summary's skewness and excess kurtosis follow scipy's formulas, computed
 here in numpy, so their bytes do not depend on the installed scipy version.
@@ -124,11 +126,12 @@ class ExperimentConfig:
     standardization: str = "theoretical"
 
     def __post_init__(self):
+        for name in ("n", "trials", "master_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must lie in [0, 2^64)")
         if self.regime not in ROUTES:
@@ -250,13 +253,12 @@ def _empirical_map(x: np.ndarray, atoms: np.ndarray | None):
     return (x - mu) / sd, None if atoms is None else (atoms - mu) / sd
 
 
-def _count_span(cfg: ExperimentConfig, pattern: Pattern, lo: int) -> np.ndarray:
-    """Raw counts of trials lo .. lo + BATCH_SIZE - 1: N_a for a^m, ln Z otherwise.
+def _count_span(cfg: ExperimentConfig, pattern: Pattern, seeds: np.ndarray) -> np.ndarray:
+    """Raw counts of the trials of ``seeds``: N_a for a^m, ln Z otherwise.
 
     For a^m each block of ``stream_blocks`` becomes letters in one reused int8
     buffer, and N_a is counted row by row (a whole-block axis count is slower).
     """
-    seeds = derive_seeds(cfg.master_seed, lo, min(lo + BATCH_SIZE, cfg.trials))
     if not pattern.is_constant:
         return batched_ln_counts(batch_letters(cfg.dist, cfg.n, seeds), pattern.word)
     letters, a = _letter_sampler(cfg.dist), pattern.word[0]
@@ -269,46 +271,51 @@ def _count_span(cfg: ExperimentConfig, pattern: Pattern, lo: int) -> np.ndarray:
     return counts
 
 
-def _ln_counts_per_job(jobs, workers: int):
-    """Yield ln Z per trial (-inf for zero counts) for each (cfg, pattern)
-    of ``jobs``, in job order.
+def _trial_spans(span, jobs, workers: int):
+    """Yield, per (args, master_seed, trials) of ``jobs`` and in job order,
+    the arrays ``span(*args, seeds)`` of its spans of BATCH_SIZE trials,
+    joined; trial t runs on the stream seed derived from (master_seed, t).
+    ``span`` must be a module-level function, so that a pool can send it.
 
-    Every job's trials run in fixed spans of BATCH_SIZE streams.  For a^m,
-    Z = C(N_a, m) with N_a counted in each trial's letters; other
-    patterns are counted on a span's letter block.  With ``workers`` > 1
-    and more than one span in all, the spans of every job are mapped over
-    one pool of up to ``workers`` processes forked for this generator
-    (fork: the children need not import the package and numpy again, and
-    never call scipy; do not use it from a process whose other threads
-    hold locks).  A job is yielded as soon as its last span is in, while
-    later spans keep counting.  Spans join in order, so the output does
-    not depend on ``workers``.  Close the generator to shut its pool down.
+    With ``workers`` > 1 and more than one span in all, the spans of every
+    job are mapped over one pool of up to ``workers`` processes forked for
+    this generator (fork: the children need not import the package and
+    numpy again; do not use it from a process whose other threads hold
+    locks).  A job is yielded as soon as its last span is in, while later
+    spans keep running.  Spans join in order, so the output does not
+    depend on ``workers``.  Close the generator to shut its pool down.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    spans = [(cfg, pattern, lo) for cfg, pattern in jobs for lo in range(0, cfg.trials, BATCH_SIZE)]
+    spans = [
+        (*args, derive_seeds(master_seed, lo, min(lo + BATCH_SIZE, trials)))
+        for args, master_seed, trials in jobs
+        for lo in range(0, trials, BATCH_SIZE)
+    ]
     pool = None
     if workers > 1 and len(spans) > 1:
         pool = ProcessPoolExecutor(min(workers, len(spans)), mp_context=get_context("fork"))
     try:
-        parts = (map if pool is None else pool.map)(_count_span, *zip(*spans))
-        for cfg, pattern in jobs:
-            out = np.concatenate([next(parts) for _ in range(0, cfg.trials, BATCH_SIZE)])
-            yield _ln_binom_of_counts(out, pattern.length) if pattern.is_constant else out
+        parts = (map if pool is None else pool.map)(span, *zip(*spans))
+        for _, _, trials in jobs:
+            yield np.concatenate([next(parts) for _ in range(0, trials, BATCH_SIZE)])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
 def collect_ln_counts(cfg: ExperimentConfig, pattern: Pattern, workers: int = 1) -> np.ndarray:
-    """ln Z per trial (-inf for zero counts): the one-config case of the
-    span driver.  With ``workers`` > 1 and more than one span, the spans
-    run in one pool per call of up to ``workers`` forked processes (for
-    many seeds, ``run_experiments`` shares one pool across all of them);
-    bytes independent of ``workers``.
+    """ln Z per trial (-inf for zero counts): one config on the span
+    driver.  For a^m, Z = C(N_a, m) is formed here from the spans' N_a,
+    so the forked children never call scipy.  Bytes independent of
+    ``workers`` (for many seeds, ``run_experiments`` shares one pool).
     """
-    with closing(_ln_counts_per_job([(cfg, pattern)], workers)) as lnz:
-        return next(lnz)
+    if pattern.alphabet != cfg.dist.alphabet:
+        raise ValueError("pattern and distribution use different alphabets")
+    job = ((cfg, pattern), cfg.master_seed, cfg.trials)
+    with closing(_trial_spans(_count_span, [job], workers)) as counts:
+        raw = next(counts)
+    return _ln_binom_of_counts(raw, pattern.length) if pattern.is_constant else raw
 
 
 def _summarize(
@@ -478,10 +485,11 @@ def run_experiments(
     if not cfgs or len(out_dirs) != len(cfgs):
         raise ValueError("need at least one config and one out_dir per config")
     plans = [(cfg, *_checked_routes(cfg, routes), out_dir) for cfg, out_dir in zip(cfgs, out_dirs)]
-    jobs = [(cfg, pattern) for cfg, pattern, _, _ in plans]
+    jobs = [((cfg, pattern), cfg.master_seed, cfg.trials) for cfg, pattern, _, _ in plans]
     results = []
-    with closing(_ln_counts_per_job(jobs, workers)) as lnzs:
-        for (cfg, pattern, cfg_routes, out_dir), lnz in zip(plans, lnzs):
+    with closing(_trial_spans(_count_span, jobs, workers)) as counts:
+        for (cfg, pattern, cfg_routes, out_dir), raw in zip(plans, counts):
+            lnz = _ln_binom_of_counts(raw, pattern.length) if pattern.is_constant else raw
             summaries = {}
             for route in cfg_routes:
                 sub = out_dir

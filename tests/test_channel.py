@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import AB, binary_dist, make_pattern
+from subseqstats import simulation
 from subseqstats.channel import (
     ChannelConfig,
     McMoments,
     McMutualInformation,
+    _densities,
     conditional_row_sums,
     exact_mutual_information_direct,
     exact_mutual_information_via_counts,
@@ -22,8 +25,8 @@ from subseqstats.channel import (
 )
 from subseqstats.counting import _float_counts, count_subsequences
 from subseqstats.moments import expected_count, log_binomial
-from subseqstats.simulation import BATCH_SIZE
-from subseqstats.source_model import Alphabet, SourceDist, Text, derive_seed
+from subseqstats.simulation import BATCH_SIZE, _trial_spans
+from subseqstats.source_model import Alphabet, Pattern, SourceDist, Text, derive_seed
 
 
 def cfg_for(p0: float, n: int, d: float) -> ChannelConfig:
@@ -41,6 +44,10 @@ def test_config_validation():
         cfg_for(0.5, 4, 1.0)
     with pytest.raises(ValueError):
         exact_mutual_information_via_counts(cfg_for(0.5, 13, 0.5))
+    with pytest.raises(TypeError):
+        cfg_for(0.5, 6.5, 0.3)
+    # numpy integers are integers
+    assert type(cfg_for(0.5, np.int64(6), 0.3).n) is int
 
 
 def test_single_letter_closed_form():
@@ -193,6 +200,25 @@ def test_mc_mutual_information_bits_equal_per_row_oracle(p0, n, d, trials, seed)
     assert (got.mi.hex(), got.stderr.hex()) == (want.mi.hex(), want.stderr.hex())
 
 
+def test_channel_spans_join_alike_in_a_fork_pool(monkeypatch):
+    built = []
+
+    class RecordingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            built.append(max_workers)
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    jobs = [((cfg_for(0.7, 24, 0.3),), 2**64 - 1, 2 * BATCH_SIZE + 17)]  # three spans
+    with closing(_trial_spans(_densities, jobs, 1)) as spans:
+        serial = next(spans)
+    assert built == []
+    with closing(_trial_spans(_densities, jobs, 2)) as spans:
+        pooled = next(spans)
+    assert built == [2]
+    assert pooled.dtype == serial.dtype and pooled.tobytes() == serial.tobytes()
+
+
 def test_mc_rejects_master_seeds_outside_64_bits():
     for seed in (-1, 2**64, 2**64 + 5):
         with pytest.raises(ValueError):
@@ -200,7 +226,15 @@ def test_mc_rejects_master_seeds_outside_64_bits():
 
 
 def test_mc_validation():
+    cfg = cfg_for(0.5, 6, 0.5)
     with pytest.raises(ValueError):
-        mc_mutual_information(cfg_for(0.5, 6, 0.5), 0, 1)
+        mc_mutual_information(cfg, 0, 1)
     with pytest.raises(ValueError):
         mc_count_moment(binary_dist(0.5), make_pattern("ab", binary_dist(0.5)), 10, 0, 1)
+    with pytest.raises(TypeError):
+        mc_mutual_information(cfg, 10.0, 1)
+    assert mc_mutual_information(cfg, np.int32(10), 1) == mc_mutual_information(cfg, 10, 1)
+    abc = SourceDist.uniform(Alphabet.from_string("abc"))
+    for word in ("cc", "ab", "ccccccccccccc"):  # the last is longer than the text
+        with pytest.raises(ValueError, match="different alphabets"):
+            mc_count_moment(binary_dist(0.5), Pattern.from_string(abc, word), 10, 100, 1)

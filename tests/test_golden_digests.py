@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import pytest
 
-from subseqstats import counting
+from subseqstats import counting, simulation
 from subseqstats.channel import ChannelConfig, mc_mutual_information
 from subseqstats.cli import main
 from subseqstats.moments import sigma1_sq_normalized
@@ -166,6 +166,8 @@ def test_cli_stdout_digest(name, capsys):
 CHANNEL_MC_HEX = {
     "empty_outputs": (((0.3, 0.7), 3, 0.9), 500, 7, "0x1.bbde5e6559050p-5", "0x1.885379be5149ep-7"),
     "n200_d03": (((0.5, 0.5), 200, 0.3), 400, 23, "0x1.affd2350354cep+4", "0x1.3bd5374082e51p-2"),
+    # 2 * 4096 + 17 trials: three spans whose densities join into one sum
+    "three_spans": (((0.7, 0.3), 24, 0.3), 8209, 2**64 - 1, "0x1.139893edd6e8ap+2", "0x1.a70993e1abeb8p-6"),
 }
 
 
@@ -182,6 +184,14 @@ def test_channel_mc_estimate_bits_in_small_tiles(cells, monkeypatch):
     # each tile of the 400-row batch takes its own shortest output as e_min
     monkeypatch.setattr(counting, "_TILE_CELLS", cells)
     test_channel_mc_estimate_bits("n200_d03")
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("name", ["empty_outputs", "n200_d03"])
+def test_channel_mc_estimate_bits_in_small_spans(name, batch, monkeypatch):
+    # hundreds of spans: their densities must join in trial order
+    monkeypatch.setattr(simulation, "BATCH_SIZE", batch)
+    test_channel_mc_estimate_bits(name)
 
 
 def test_preset_report_digest(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kurtosis, norm, skew
 
-from conftest import binary_dist
+from conftest import ABC, binary_dist
 from subseqstats import simulation
 from subseqstats.simulation import (
     ExperimentConfig,
@@ -33,6 +33,7 @@ from subseqstats.simulation import (
     run_experiments,
     summarize_normal,
 )
+from subseqstats.source_model import Pattern, SourceDist
 
 
 def make_cfg(**kw):
@@ -196,6 +197,20 @@ def test_config_validation():
         make_cfg(master_seed=-1)
     with pytest.raises(ValueError):
         make_cfg(master_seed=2**64 + 5)
+    for bad in ({"n": 20.5}, {"trials": 10.0}, {"n": "20"}):
+        with pytest.raises(TypeError):
+            make_cfg(**bad)
+    # numpy integers are integers
+    cfg = make_cfg(n=np.int64(20), trials=np.int32(10), master_seed=np.uint64(3))
+    assert (type(cfg.n), type(cfg.trials), type(cfg.master_seed)) == (int, int, int)
+    assert cfg == make_cfg(n=20, trials=10, master_seed=3)
+
+
+def test_collect_rejects_a_pattern_over_another_alphabet():
+    cfg = make_cfg(n=10)
+    for word in ("cc", "ab", "ccccccccccccc"):  # the last is longer than the text
+        with pytest.raises(ValueError, match="different alphabets"):
+            collect_ln_counts(cfg, Pattern.from_string(SourceDist.uniform(ABC), word))
 
 
 def test_random_pattern_spec_deterministic():

@@ -11,7 +11,7 @@ from scipy.stats import chi2
 
 from conftest import AB, binary_dist
 from subseqstats import source_model
-from subseqstats.simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, _count_span
+from subseqstats.simulation import BATCH_SIZE, ExperimentConfig, PatternSpec, _count_span, _trial_spans
 from subseqstats.source_model import (
     Alphabet,
     Pattern,
@@ -369,10 +369,10 @@ _SHORT = [
 
 
 def _constant_counts(dist: SourceDist, n: int, trials: int, master: int, a: int) -> np.ndarray:
-    """N_a of every trial of an a^m run, span by span, as the simulation counts it."""
+    """N_a of every trial of an a^m run, counted on the span driver as the simulation counts it."""
     cfg = ExperimentConfig(dist, PatternSpec.constant(a, 1), n, trials, master, "normal")
     pattern = cfg.pattern_spec.resolve(dist)
-    return np.concatenate([_count_span(cfg, pattern, lo) for lo in range(0, trials, BATCH_SIZE)])
+    return next(_trial_spans(_count_span, [((cfg, pattern), master, trials)], 1))
 
 
 @st.composite
