@@ -187,6 +187,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_channel_mi(args) -> int:
+    if args.method != "mc" and (args.trials is not None or args.seed is not None):
+        raise SystemExit2(f"--method {args.method} is exact and takes no --trials or --seed")
     probs = _parse_probs(args.probs)
     alphabet = _alphabet_for(probs, None)
     cfg = ChannelConfig(SourceDist(alphabet, probs), args.n, args.d)

@@ -22,7 +22,13 @@ In such a tile, when every row's word starts with the same run c^k,
 k >= 2, the slots 1..k of that run depend only on how many c's a row has
 read (Flajolet, Szpankowski and Vallee, "Hidden word statistics", 2006):
 slot k is read from one column of k sequential cumsums (_lead_column),
-so the band starts at slot k + 1.  Every count keeps its bits.
+so the band starts at slot k + 1.  When no row's tail w_{k+1..m} holds c
+either, a position that reads c adds +0.0 to every slot of that band, so
+each row runs the band only over its other positions, in order, gathered
+_CHUNK positions at a time (_tail_steps).  At the s-th of them in a
+chunk, read at offset pos, the row has read seen + pos - s c's, seen
+those before the chunk, and slot k is the column's entry there.  Every
+count keeps its bits.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ _RESCALE_LIMIT = 1e300
 _RESCALE_FACTOR = 1e-280
 _RESCALE_LN = math.log(1e280)
 _BLOCK = 16
+# a tile that skips its run letter's positions gathers this many at a time
+_CHUNK = 128
 # rows run in tiles of about this many state entries, which stay in cache
 _TILE_CELLS = 2**16
 
@@ -200,6 +208,58 @@ def _lead_column(n: int, k: int) -> np.ndarray:
     return column
 
 
+def _tail_steps(texts: np.ndarray, c: int):
+    """Each row's positions whose letter is not c, in order, as (letters, lead index) blocks.
+
+    The text is read _CHUNK positions at a time.  The s-th such position
+    of a row in a chunk, at offset pos, follows seen + pos - s letters c,
+    seen the row's c's before the chunk, so its index into _lead_column
+    needs no cumsum.  In the flattened chunk, an entry's flat index less
+    its rank among the non-c entries counts the c's before it, those of
+    the rows above included; the row's base takes those off and adds
+    seen.  A row with fewer such positions than the chunk's most is
+    padded with letter -1 and a negative index, which np.take's clip mode
+    reads as entry 0 of _lead_column, 0.0.  Each chunk fills (rows, steps)
+    layouts from one np.flatnonzero and one boolean fill each, in buffers
+    reused from chunk to chunk, and reads them transposed.  Yields blocks
+    of at most _BLOCK steps: (steps, rows) letters and indices, valid
+    until the next block.
+    """
+    rows, n = texts.shape
+    width = min(_CHUNK, n)
+    # letters keep the text's width, and padding -1 must not wrap in an unsigned text
+    kind = np.result_type(texts.dtype, np.int8)
+    chunk = np.empty(rows * width, dtype=texts.dtype)
+    fill_letters, letters = np.empty(rows * width, dtype=kind), np.empty((width, rows), dtype=kind)
+    fill_before = np.empty(rows * width, dtype=np.int32)
+    index = np.empty((_BLOCK, rows), dtype=np.intp)
+    seen = np.zeros(rows, dtype=np.intp)
+    for lo in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - lo)
+        rect = chunk[: rows * size].reshape(rows, size)
+        rect[:] = texts[:, lo : lo + size]
+        flat = np.flatnonzero(rect != c)
+        bounds = np.searchsorted(flat, np.arange(0, rows * size + 1, size))
+        counts = np.diff(bounds)
+        steps = int(counts.max())
+        dest = np.arange(steps) < counts[:, None]
+        fill = fill_letters[: rows * steps].reshape(rows, steps)
+        fill.fill(-1)
+        fill[dest] = rect.ravel()[flat]
+        letters[:steps] = fill.T
+        fill = fill_before[: rows * steps].reshape(rows, steps)
+        fill.fill(np.iinfo(np.int32).min)
+        fill[dest] = flat - np.arange(len(flat))
+        before = fill.T
+        # seen less the c's of the rows above, in this chunk
+        base = seen + bounds[:-1] - np.arange(0, rows * size, size)
+        for s in range(0, steps, _BLOCK):
+            block = letters[s : min(s + _BLOCK, steps)]
+            np.add(before[s : s + len(block)], base, out=index[: len(block)])
+            yield block, index[: len(block)]
+        seen += size - counts
+
+
 def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     """One tile of rows of _float_counts, on buffers sized for that tile.
 
@@ -216,6 +276,17 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     with one ``np.take`` per block.  Every add with hit = 1 still happens,
     in the same order, and no rescale decision changes, so the bits are
     those of the full update.
+
+    When c is also absent from every row's tail w_{k+1..m}, a position
+    that reads c has hit = 0 in every slot of [k + 1, m]: its update adds
+    +0.0 to finite values and changes no bit, and slot k is read only at
+    the other positions.  Each row then steps through those only, in
+    order (_tail_steps), with slot k set at the s-th of them in a chunk,
+    read at offset pos, to the column's entry seen + pos - s (seen the
+    row's c's before the chunk).  Every step runs the full band [k + 1, m],
+    the full-width update of those slots, whose bits the live band keeps
+    at every row's end.  A padding step has letter -1, hit 0 in every
+    slot and lead 0.0, so it adds +0.0 too.
     """
     (batch, n), m = texts.shape, len(cols)
     state = np.zeros((m + 1, batch))
@@ -227,23 +298,34 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     e_min = int(ends.min())
     # a rescale would scale the leading slots too, so such tiles keep k = 0
     k = 0 if rescales else _leading_run(cols, e_min - 1)
-    if k:
-        column = _lead_column(n, k)
-        lead = np.empty((_BLOCK, batch))
-        # seen[t]: the c's each row has read before position lo + t
-        seen = np.zeros((_BLOCK + 1, batch), dtype=np.intp)
-    # the band of position t starts at a = max(k + 1, t + skip); views of
-    # the full band [k + 1, m], the band of most positions, are made once
-    skip = -n if rescales else e_min + 1 - n
+    # views of the full band [k + 1, m], the band of most positions, made once
     below, band, prod = state[k:m], state[k + 1 :], tmp[k:]
     hit_band = [hit[t, k:] for t in range(_BLOCK)]
+    if k:
+        c = int(cols[0, 0])
+        column = _lead_column(n, k)
+        lead = np.empty((_BLOCK, batch))
+        if not (cols[k:] == c).any():
+            for block, index in _tail_steps(texts, c):
+                size = len(block)
+                np.equal(block[:, None, :], cols[k:], out=hit[:size, k:])
+                np.take(column, index, out=lead[:size], mode="clip")
+                for t in range(size):
+                    state[k] = lead[t]
+                    np.multiply(below, hit_band[t], out=prod)
+                    band += prod
+            return state[ends, np.arange(batch)], shift
+        # seen[t]: the c's each row has read before position lo + t
+        seen = np.zeros((_BLOCK + 1, batch), dtype=np.intp)
+    # the band of position t starts at a = max(k + 1, t + skip)
+    skip = -n if rescales else e_min + 1 - n
     for lo in range(0, n, _BLOCK):
         block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
         size = len(block)
         a, b = max(k + 1, lo + skip), min(m, lo + size)
         np.equal(block[:, None, :], cols[a - 1 : b], out=hit[:size, a - 1 : b])
         if k:
-            np.cumsum(block == cols[0, 0], axis=0, out=seen[1 : size + 1])
+            np.cumsum(block == c, axis=0, out=seen[1 : size + 1])
             seen[1 : size + 1] += seen[0]
             np.take(column, seen[:size], out=lead[:size])
             seen[0] = seen[size]

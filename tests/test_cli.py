@@ -200,6 +200,16 @@ def test_channel_mi_mc_requires_seed(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("method", ["counts", "direct"])
+@pytest.mark.parametrize("extra", [["--trials", "100"], ["--seed", "1"], ["--trials", "100", "--seed", "1"]])
+def test_channel_mi_exact_methods_reject_trials_and_seed(capsys, method, extra):
+    with pytest.raises(SystemExit) as err:
+        main(["channel-mi", "--n", "6", "--d", "0.3", "--probs", "0.5,0.5",
+              "--method", method] + extra)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_channel_mi_mc_rejects_seeds_outside_64_bits(capsys):
     base = ["channel-mi", "--n", "20", "--d", "0.3", "--probs", "0.5,0.5", "--method", "mc",
             "--trials", "10", "--seed"]

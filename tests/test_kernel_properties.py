@@ -4,8 +4,8 @@ The kernel must track the exact big-integer count, and a row's bits must
 not depend on whether its word is shared or given per row, on extra
 padding columns, or on which other rows share its batch.  A frozen copy
 of the full-width tile kernel, which updates every slot at every
-position, pins the bits of the live-band kernel and of its leading-run
-column.
+position, pins the bits of the live-band kernel, of its leading-run
+column, and of the tiles that skip the positions of their run letter.
 """
 
 import math
@@ -162,24 +162,32 @@ def _frozen_float_counts(texts, word, cells=counting._TILE_CELLS):
         return _float_counts(texts, word)
 
 
-def _assert_matches_frozen(texts, word, cells=counting._TILE_CELLS):
+def _assert_matches_frozen(texts, word, cells=counting._TILE_CELLS, chunk=counting._CHUNK):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_TILE_CELLS", cells)
+        mp.setattr(counting, "_CHUNK", chunk)
         z, shift = _float_counts(texts, word)
     z0, shift0 = _frozen_float_counts(texts, word, cells)
     assert np.array_equal(z.view(np.uint64), z0.view(np.uint64))
     assert np.array_equal(shift.view(np.uint64), shift0.view(np.uint64))
 
 
+KINDS = ("shared", "outputs", "random", "leading_run", "tail")
+
+
 @st.composite
-def oracle_cases(draw):
-    """(texts, word, tile cells): a shared word or a -1-padded word matrix."""
-    k = draw(st.integers(1, 3), label="letters")
-    n = draw(st.one_of(st.integers(0, 40), st.integers(41, 250)), label="n")
+def oracle_cases(draw, kinds=KINDS):
+    """(texts, word, tile cells, chunk): a shared word or a -1-padded word matrix."""
+    kind = draw(st.sampled_from(kinds), label="kind")
+    chunk = draw(st.sampled_from((1, 3, 16, counting._CHUNK)), label="chunk")
+    k = draw(st.integers(2, 4) if kind == "tail" else st.integers(1, 3), label="letters")
+    if kind == "tail":  # below, at and one past a multiple of the chunk
+        n = max(0, chunk * draw(st.integers(0, 300 // chunk), label="chunks") + draw(st.integers(-1, 1), label="off"))
+    else:
+        n = draw(st.one_of(st.integers(0, 40), st.integers(41, 250)), label="n")
     rows = draw(st.integers(1, 8), label="rows")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     texts = rng.integers(0, k, size=(rows, n)).astype(np.int8)
-    kind = draw(st.sampled_from(("shared", "outputs", "random", "leading_run")), label="kind")
     if kind == "shared":  # a subsequence of row 0, so its count is not 0
         word = tuple(int(v) for v in texts[0][rng.random(n) >= draw(st.floats(0, 1))])
     elif kind == "leading_run":  # every word starts with c^run, some with a longer run
@@ -194,6 +202,15 @@ def oracle_cases(draw):
             for size in sizes
         ]
         word = words[0] if draw(st.booleans(), label="one shared word") else _matrix(words)
+    elif kind == "tail":  # c^run and tails of 1 to 5 letters without c: the compacted path
+        c, run = int(rng.integers(0, k)), draw(st.integers(2, 8), label="run")
+        # mostly c, so that many chunks of a row hold no other letter, and
+        # some rows of c only
+        texts[rng.random((rows, n)) < draw(st.sampled_from((0.0, 0.7, 0.95)), label="p(c)")] = c
+        texts[rng.random(rows) < draw(st.sampled_from((0.0, 0.3)), label="c rows")] = c
+        others = [v for v in range(k) if v != c]
+        words = [(c,) * run + tuple(int(v) for v in rng.choice(others, size=rng.integers(1, 6))) for _ in range(rows)]
+        word = words[0] if draw(st.booleans(), label="one shared word") else _matrix(words)
     elif kind == "outputs":  # deletion-channel words: ends from 0 up to n
         d = draw(st.floats(0, 1), label="d")
         word = _matrix([tuple(row[rng.random(n) >= d]) for row in texts])
@@ -204,7 +221,7 @@ def oracle_cases(draw):
         pad = np.full((rows, draw(st.integers(0, 3), label="pad")), -1, dtype=np.int8)
         word = np.concatenate([word, pad], axis=1)
     cells = draw(st.one_of(st.integers(1, 1500), st.just(counting._TILE_CELLS)), label="tile cells")
-    return texts, word, cells
+    return texts, word, cells, chunk
 
 
 # small tile cells give each tile its own least row end
@@ -212,6 +229,24 @@ def oracle_cases(draw):
 @given(oracle_cases())
 def test_kernel_matches_frozen_full_width_kernel(case):
     _assert_matches_frozen(*case)
+
+
+def _spy_tail_steps(mp) -> list:
+    """Record (rows, n, c) of every tile that runs on its compacted positions."""
+    calls = []
+    tail_steps = counting._tail_steps
+    mp.setattr(counting, "_tail_steps", lambda texts, c: calls.append((*texts.shape, c)) or tail_steps(texts, c))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases(kinds=("tail",)))
+def test_compacted_tiles_match_frozen_full_width_kernel(case):
+    texts, word, cells, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_tail_steps(mp)
+        _assert_matches_frozen(texts, word, cells, chunk)
+    assert calls
 
 
 @pytest.mark.parametrize("n", [996, 1000, 1001, 1002, 1010, 1100])
@@ -278,3 +313,20 @@ def test_rescaling_tiles_build_no_lead_column(monkeypatch):
     assert built == [(1200, 20)]
     _assert_matches_frozen(texts, (0,) * 600 + (1,) * 2)
     _assert_matches_frozen(texts, (0,) * 20 + (1,) * 20)
+
+
+def test_only_tiles_with_a_run_letter_free_tail_compact(monkeypatch):
+    calls = _spy_tail_steps(monkeypatch)
+    rng = np.random.default_rng(5)
+    texts = (rng.random((6, 1200)) >= 0.7).astype(np.int8)
+    _assert_matches_frozen(texts, (0,) * 20 + (1,) * 20)
+    assert calls == [(6, 1200, 0)]
+    calls.clear()
+    # aba (k = 1), a tail that holds the run letter, channel outputs (no
+    # shared run), and a^600 b^2, whose tile may rescale: the position by
+    # position loop
+    outputs = _matrix([tuple(row[rng.random(1200) >= 0.3]) for row in texts])
+    assert counting._may_rescale(1200, 602)
+    for word in ((0, 1, 0), (0, 0, 0, 1, 0), outputs, (0,) * 600 + (1,) * 2):
+        _assert_matches_frozen(texts, word)
+    assert calls == []
