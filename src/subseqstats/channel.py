@@ -231,7 +231,9 @@ def _densities(cfg: ChannelConfig, seeds: np.ndarray) -> np.ndarray:
     return (ln_z + shift[kept]) - ln_ez
 
 
-def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> McMutualInformation:
+def mc_mutual_information(
+    cfg: ChannelConfig, trials: int, master_seed: int, workers: int = 1
+) -> McMutualInformation:
     """Monte Carlo estimate of I in nats, one (input, output) draw per trial.
 
     With P(z | x) = Z_x(z) d^(n-|z|) (1-d)^|z| and the output marginal
@@ -240,14 +242,16 @@ def mc_mutual_information(cfg: ChannelConfig, trials: int, master_seed: int) -> 
     pair.  Each trial costs one count DP, so this route has no n cap.
     Trial t draws 2n uniforms from its own stream, its input's letters
     and then its deletion mask, on the span driver that runs every Monte
-    Carlo of the package; the trials of a span share one kernel call.
-    The sums of the densities and of their squares are each one
-    ``np.cumsum``, which adds in trial order.
+    Carlo of the package; the trials of a span share one kernel call, and
+    with ``workers`` > 1 the spans run over a fork pool of that many
+    processes.  The sums of the densities and of their squares are each
+    one ``np.cumsum``, which adds in trial order, so the bits do not
+    depend on ``workers``.
     """
     trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    with closing(_trial_spans(_densities, [((cfg,), master_seed, trials)], 1)) as spans:
+    with closing(_trial_spans(_densities, [((cfg,), master_seed, trials)], workers)) as spans:
         vals = next(spans)
     total = np.cumsum(np.concatenate(([0.0], vals)))[-1]
     total_sq = np.cumsum(np.concatenate(([0.0], vals * vals)))[-1]

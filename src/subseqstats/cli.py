@@ -4,9 +4,10 @@ Six subcommands: ``count``, ``moments``, ``decompose``, ``simulate``,
 ``channel-mi``, ``preset``.  Every invocation validates its inputs
 before doing work, prints exactly one JSON document on stdout, and logs
 to stderr.  Stochastic subcommands require an explicit ``--seed``.
-``simulate`` and the Monte Carlo presets run their trial spans in up to
-``--workers`` forked processes, one pool per call shared by all seeds;
-the output bytes are independent of ``--workers``.
+``simulate``, ``channel-mi --method mc`` and the Monte Carlo presets run
+their trial spans in up to ``--workers`` forked processes, one pool per
+call shared by all seeds; the output bytes are independent of
+``--workers``.
 Exit status is 0 on success, 1 when a preset gate fails, 2 on invalid
 input.
 
@@ -187,8 +188,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_channel_mi(args) -> int:
-    if args.method != "mc" and (args.trials is not None or args.seed is not None):
-        raise SystemExit2(f"--method {args.method} is exact and takes no --trials or --seed")
+    if args.method != "mc" and (args.trials, args.seed, args.workers) != (None, None, None):
+        raise SystemExit2(f"--method {args.method} is exact and takes no --trials, --seed or --workers")
     probs = _parse_probs(args.probs)
     alphabet = _alphabet_for(probs, None)
     cfg = ChannelConfig(SourceDist(alphabet, probs), args.n, args.d)
@@ -200,7 +201,8 @@ def _cmd_channel_mi(args) -> int:
     else:
         if args.trials is None or args.seed is None:
             raise SystemExit2("--method mc requires --trials and --seed")
-        est = mc_mutual_information(cfg, args.trials, args.seed)
+        workers = 1 if args.workers is None else args.workers
+        est = mc_mutual_information(cfg, args.trials, args.seed, workers)
         mi, stderr = est.mi, est.stderr
     if args.units == "bits":
         mi = nats_to_bits(mi)
@@ -286,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--units", choices=("nats", "bits"), default="nats")
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP + "; --method mc only")
     p.set_defaults(fn=_cmd_channel_mi)
 
     p = sub.add_parser("preset", help="run a named gated experiment")

@@ -24,11 +24,14 @@ read (Flajolet, Szpankowski and Vallee, "Hidden word statistics", 2006):
 slot k is read from one column of k sequential cumsums (_lead_column),
 so the band starts at slot k + 1.  When no row's tail w_{k+1..m} holds c
 either, a position that reads c adds +0.0 to every slot of that band, so
-each row runs the band only over its other positions, in order, gathered
-_CHUNK positions at a time (_tail_steps).  At the s-th of them in a
-chunk, read at offset pos, the row has read seen + pos - s c's, seen
-those before the chunk, and slot k is the column's entry there.  Every
-count keeps its bits.
+each row runs the band only over its other positions, in order.  Before
+the s-th of them, read at pos, the row has read pos - s c's, and slot k
+is the column's entry there.  _step_index gathers those entries
+step-major, (steps, rows), once per tile, and step s runs every row at
+its own s-th position; a row whose positions have run out is read off
+and its state column set to 0.0.  When every tail is one letter d and
+the texts hold only c and d, every step has hit 1 in every tail slot and
+is a plain add, with no hit mask.  Every count keeps its bits.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ _RESCALE_LIMIT = 1e300
 _RESCALE_FACTOR = 1e-280
 _RESCALE_LN = math.log(1e280)
 _BLOCK = 16
-# a tile that skips its run letter's positions gathers this many at a time
-_CHUNK = 128
 # rows run in tiles of about this many state entries, which stay in cache
 _TILE_CELLS = 2**16
 
@@ -208,56 +209,44 @@ def _lead_column(n: int, k: int) -> np.ndarray:
     return column
 
 
-def _tail_steps(texts: np.ndarray, c: int):
-    """Each row's positions whose letter is not c, in order, as (letters, lead index) blocks.
+def _step_index(texts: np.ndarray, c: int, d: int | None):
+    """Step-major lead indices of each row's positions that do not read c.
 
-    The text is read _CHUNK positions at a time.  The s-th such position
-    of a row in a chunk, at offset pos, follows seen + pos - s letters c,
-    seen the row's c's before the chunk, so its index into _lead_column
-    needs no cumsum.  In the flattened chunk, an entry's flat index less
-    its rank among the non-c entries counts the c's before it, those of
-    the rows above included; the row's base takes those off and adds
-    seen.  A row with fewer such positions than the chunk's most is
-    padded with letter -1 and a negative index, which np.take's clip mode
-    reads as entry 0 of _lead_column, 0.0.  Each chunk fills (rows, steps)
-    layouts from one np.flatnonzero and one boolean fill each, in buffers
-    reused from chunk to chunk, and reads them transposed.  Yields blocks
-    of at most _BLOCK steps: (steps, rows) letters and indices, valid
-    until the next block.
+    Returns (index, steps, only_d).  index[s, r] is pos - s for the s-th
+    such position of row r, read at pos: the count of c's the row has read
+    before it, so its entry in _lead_column.  Past a row's steps[r] such
+    positions it is 0, whose entry is 0.0.  It has the smallest unsigned
+    dtype that holds n.  only_d tells whether every such letter is d
+    (False for d None).  Rows are read _BLOCK at a time: one pass counts
+    each row's positions, and a second fills them from one np.flatnonzero
+    per block, in which an entry's flat index less its rank counts the
+    c's before it, those of the rows above included; the row's base takes
+    those off.  So no index of the whole tile is ever held in intp.
     """
     rows, n = texts.shape
-    width = min(_CHUNK, n)
-    # letters keep the text's width, and padding -1 must not wrap in an unsigned text
-    kind = np.result_type(texts.dtype, np.int8)
-    chunk = np.empty(rows * width, dtype=texts.dtype)
-    fill_letters, letters = np.empty(rows * width, dtype=kind), np.empty((width, rows), dtype=kind)
-    fill_before = np.empty(rows * width, dtype=np.int32)
-    index = np.empty((_BLOCK, rows), dtype=np.intp)
-    seen = np.zeros(rows, dtype=np.intp)
-    for lo in range(0, n, _CHUNK):
-        size = min(_CHUNK, n - lo)
-        rect = chunk[: rows * size].reshape(rows, size)
-        rect[:] = texts[:, lo : lo + size]
-        flat = np.flatnonzero(rect != c)
-        bounds = np.searchsorted(flat, np.arange(0, rows * size + 1, size))
-        counts = np.diff(bounds)
-        steps = int(counts.max())
-        dest = np.arange(steps) < counts[:, None]
-        fill = fill_letters[: rows * steps].reshape(rows, steps)
-        fill.fill(-1)
-        fill[dest] = rect.ravel()[flat]
-        letters[:steps] = fill.T
-        fill = fill_before[: rows * steps].reshape(rows, steps)
-        fill.fill(np.iinfo(np.int32).min)
-        fill[dest] = flat - np.arange(len(flat))
-        before = fill.T
-        # seen less the c's of the rows above, in this chunk
-        base = seen + bounds[:-1] - np.arange(0, rows * size, size)
-        for s in range(0, steps, _BLOCK):
-            block = letters[s : min(s + _BLOCK, steps)]
-            np.add(before[s : s + len(block)], base, out=index[: len(block)])
-            yield block, index[: len(block)]
-        seen += size - counts
+    steps = np.empty(rows, dtype=np.intp)
+    only_d = d is not None
+    for lo in range(0, rows, _BLOCK):
+        part = texts[lo : lo + _BLOCK]
+        # a uint8 row sum, at about half the time of np.count_nonzero(..., axis=1)
+        steps[lo : lo + _BLOCK] = (part != c).view(np.uint8).sum(axis=1, dtype=np.int32)
+        only_d = only_d and np.count_nonzero(part == d) == steps[lo : lo + _BLOCK].sum()
+    index = np.zeros((int(steps.max(initial=0)), rows), dtype=np.min_scalar_type(n))
+    # a block's rows are filled row-major and copied in transposed
+    fill, upto = np.empty((_BLOCK, len(index)), dtype=index.dtype), np.arange(len(index))
+    for lo in range(0, rows, _BLOCK):
+        part = texts[lo : lo + _BLOCK]
+        flat = np.flatnonzero(part != c)
+        counts = steps[lo : lo + len(part)]
+        # the c's of the rows above, in this block
+        base = np.arange(len(part)) * n - (np.cumsum(counts) - counts)
+        rect = fill[: len(part)]
+        rect.fill(0)
+        flat -= np.arange(len(flat))
+        flat -= np.repeat(base, counts)
+        rect[upto < counts[:, None]] = flat
+        index[:, lo : lo + len(part)] = rect.T
+    return index, steps, only_d
 
 
 def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
@@ -281,42 +270,73 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     that reads c has hit = 0 in every slot of [k + 1, m]: its update adds
     +0.0 to finite values and changes no bit, and slot k is read only at
     the other positions.  Each row then steps through those only, in
-    order (_tail_steps), with slot k set at the s-th of them in a chunk,
-    read at offset pos, to the column's entry seen + pos - s (seen the
-    row's c's before the chunk).  Every step runs the full band [k + 1, m],
-    the full-width update of those slots, whose bits the live band keeps
-    at every row's end.  A padding step has letter -1, hit 0 in every
-    slot and lead 0.0, so it adds +0.0 too.
+    order: step s runs every row at its own s-th such position, read at
+    pos, with slot k set to the column's entry pos - s (_step_index).
+    Every step runs the full band [k + 1, m], the full-width update of
+    those slots, whose bits the live band keeps at every row's end.
+    Before step s, the rows with s steps are read off and their state
+    columns set to 0.0; their index is 0 from then on, whose entry is
+    0.0, so they only add 0.0 + 0.0.  When every tail letter is one d
+    (-1 padding aside) and every such position reads d, hit is 1 in each
+    slot up to a row's end, and a step is ``np.copyto(prod, below);
+    band += prod``, the same IEEE add as x + y * 1.0, with no hit mask;
+    the slots past a row's end, which are never read, take it too.  Other
+    tails multiply by hit, filled from the step's letters at pos.
     """
     (batch, n), m = texts.shape, len(cols)
     state = np.zeros((m + 1, batch))
     state[0] = 1.0
     shift = np.zeros(batch)
     tmp = np.empty((m, batch))
-    hit = np.empty((_BLOCK, m, batch), dtype=bool)
     rescales = _may_rescale(n, m)
     e_min = int(ends.min())
     # a rescale would scale the leading slots too, so such tiles keep k = 0
     k = 0 if rescales else _leading_run(cols, e_min - 1)
     # views of the full band [k + 1, m], the band of most positions, made once
     below, band, prod = state[k:m], state[k + 1 :], tmp[k:]
-    hit_band = [hit[t, k:] for t in range(_BLOCK)]
     if k:
         c = int(cols[0, 0])
         column = _lead_column(n, k)
         lead = np.empty((_BLOCK, batch))
-        if not (cols[k:] == c).any():
-            for block, index in _tail_steps(texts, c):
+        tail = cols[k:]
+        if not (tail == c).any():
+            # every row's slot k + 1 holds a letter, since k < e_min
+            d = int(tail[0, 0])
+            one_letter = ((tail == d) | (tail < 0)).all()
+            index, steps, only_d = _step_index(texts, c, d if one_letter else None)
+            if not only_d:
+                hit = np.empty((_BLOCK, m - k, batch), dtype=bool)
+                rows = np.arange(batch)
+            # rows by step count: a row is read off before the step that its count names
+            order = np.argsort(steps, kind="stable")
+            cuts = np.flatnonzero(np.diff(steps[order])) + 1
+            stops = {int(steps[part[0]]): part for part in np.split(order, cuts)}
+            z = np.empty(batch)
+            for lo in range(0, len(index), _BLOCK):
+                block = index[lo : lo + _BLOCK]
                 size = len(block)
-                np.equal(block[:, None, :], cols[k:], out=hit[:size, k:])
-                np.take(column, index, out=lead[:size], mode="clip")
+                np.take(column, block, out=lead[:size], mode="clip")
+                if not only_d:
+                    letters = texts[rows, block + np.arange(lo, lo + size)[:, None]]
+                    np.equal(letters[:, None, :], tail, out=hit[:size])
                 for t in range(size):
+                    done = stops.get(lo + t)
+                    if done is not None:
+                        z[done] = state[ends[done], done]
+                        state[:, done] = 0.0
                     state[k] = lead[t]
-                    np.multiply(below, hit_band[t], out=prod)
+                    if only_d:
+                        np.copyto(prod, below)
+                    else:
+                        np.multiply(below, hit[t], out=prod)
                     band += prod
-            return state[ends, np.arange(batch)], shift
+            done = stops[len(index)]
+            z[done] = state[ends[done], done]
+            return z, shift
         # seen[t]: the c's each row has read before position lo + t
         seen = np.zeros((_BLOCK + 1, batch), dtype=np.intp)
+    hit = np.empty((_BLOCK, m, batch), dtype=bool)
+    hit_band = [hit[t, k:] for t in range(_BLOCK)]
     # the band of position t starts at a = max(k + 1, t + skip)
     skip = -n if rescales else e_min + 1 - n
     for lo in range(0, n, _BLOCK):

@@ -200,6 +200,17 @@ def test_mc_mutual_information_bits_equal_per_row_oracle(p0, n, d, trials, seed)
     assert (got.mi.hex(), got.stderr.hex()) == (want.mi.hex(), want.stderr.hex())
 
 
+@pytest.mark.parametrize(
+    "p0, n, d, trials, seed",
+    [(0.5, 1, 0.99, BATCH_SIZE + 3, 3), (0.7, 3, 0.3, 2 * BATCH_SIZE + 17, 2**64 - 1), (0.5, 40, 0.01, 300, 0)],
+)
+def test_mc_mutual_information_bits_equal_per_row_oracle_at_two_workers(p0, n, d, trials, seed):
+    cfg = cfg_for(p0, n, d)
+    got = mc_mutual_information(cfg, trials, seed, workers=2)
+    want = _per_row_mutual_information(cfg, trials, seed)
+    assert (got.mi.hex(), got.stderr.hex()) == (want.mi.hex(), want.stderr.hex())
+
+
 def test_channel_spans_join_alike_in_a_fork_pool(monkeypatch):
     built = []
 
@@ -229,6 +240,8 @@ def test_mc_validation():
     cfg = cfg_for(0.5, 6, 0.5)
     with pytest.raises(ValueError):
         mc_mutual_information(cfg, 0, 1)
+    with pytest.raises(ValueError, match="workers"):
+        mc_mutual_information(cfg, 10, 1, workers=0)
     with pytest.raises(ValueError):
         mc_count_moment(binary_dist(0.5), make_pattern("ab", binary_dist(0.5)), 10, 0, 1)
     with pytest.raises(TypeError):

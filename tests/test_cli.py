@@ -210,6 +210,28 @@ def test_channel_mi_exact_methods_reject_trials_and_seed(capsys, method, extra):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("method", ["counts", "direct"])
+def test_channel_mi_exact_methods_reject_workers(capsys, method):
+    with pytest.raises(SystemExit) as err:
+        main(["channel-mi", "--n", "6", "--d", "0.3", "--probs", "0.5,0.5",
+              "--method", method, "--workers", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_channel_mi_mc_output_does_not_depend_on_workers(capsys):
+    # 4100 trials are two spans, so two workers fork a pool
+    base = ["channel-mi", "--n", "6", "--d", "0.3", "--probs", "0.5,0.5", "--method", "mc",
+            "--trials", "4100", "--seed", "5"]
+    outs = []
+    for extra in ([], ["--workers", "1"], ["--workers", "2"]):
+        assert main(base + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert main(base + ["--workers", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_channel_mi_mc_rejects_seeds_outside_64_bits(capsys):
     base = ["channel-mi", "--n", "20", "--d", "0.3", "--probs", "0.5,0.5", "--method", "mc",
             "--trials", "10", "--seed"]

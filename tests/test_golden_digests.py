@@ -172,11 +172,17 @@ CHANNEL_MC_HEX = {
 
 
 @pytest.mark.parametrize("name", sorted(CHANNEL_MC_HEX))
-def test_channel_mc_estimate_bits(name):
+def test_channel_mc_estimate_bits(name, workers=1):
     (probs, n, d), trials, seed, mi_hex, stderr_hex = CHANNEL_MC_HEX[name]
     cfg = ChannelConfig(SourceDist(Alphabet.from_string("ab"), probs), n, d)
-    est = mc_mutual_information(cfg, trials, seed)
+    est = mc_mutual_information(cfg, trials, seed, workers)
     assert (est.mi.hex(), est.stderr.hex()) == (mi_hex, stderr_hex)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MC_HEX))
+def test_channel_mc_estimate_bits_at_two_workers(name):
+    # "three_spans" maps its spans over a two-process fork pool
+    test_channel_mc_estimate_bits(name, workers=2)
 
 
 @pytest.mark.parametrize("cells", [1, 2**12])

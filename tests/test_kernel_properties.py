@@ -162,10 +162,9 @@ def _frozen_float_counts(texts, word, cells=counting._TILE_CELLS):
         return _float_counts(texts, word)
 
 
-def _assert_matches_frozen(texts, word, cells=counting._TILE_CELLS, chunk=counting._CHUNK):
+def _assert_matches_frozen(texts, word, cells=counting._TILE_CELLS):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_TILE_CELLS", cells)
-        mp.setattr(counting, "_CHUNK", chunk)
         z, shift = _float_counts(texts, word)
     z0, shift0 = _frozen_float_counts(texts, word, cells)
     assert np.array_equal(z.view(np.uint64), z0.view(np.uint64))
@@ -177,14 +176,10 @@ KINDS = ("shared", "outputs", "random", "leading_run", "tail")
 
 @st.composite
 def oracle_cases(draw, kinds=KINDS):
-    """(texts, word, tile cells, chunk): a shared word or a -1-padded word matrix."""
+    """(texts, word, tile cells): a shared word or a -1-padded word matrix."""
     kind = draw(st.sampled_from(kinds), label="kind")
-    chunk = draw(st.sampled_from((1, 3, 16, counting._CHUNK)), label="chunk")
     k = draw(st.integers(2, 4) if kind == "tail" else st.integers(1, 3), label="letters")
-    if kind == "tail":  # below, at and one past a multiple of the chunk
-        n = max(0, chunk * draw(st.integers(0, 300 // chunk), label="chunks") + draw(st.integers(-1, 1), label="off"))
-    else:
-        n = draw(st.one_of(st.integers(0, 40), st.integers(41, 250)), label="n")
+    n = draw(st.one_of(st.integers(0, 40), st.integers(41, 300 if kind == "tail" else 250)), label="n")
     rows = draw(st.integers(1, 8), label="rows")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     texts = rng.integers(0, k, size=(rows, n)).astype(np.int8)
@@ -204,8 +199,8 @@ def oracle_cases(draw, kinds=KINDS):
         word = words[0] if draw(st.booleans(), label="one shared word") else _matrix(words)
     elif kind == "tail":  # c^run and tails of 1 to 5 letters without c: the compacted path
         c, run = int(rng.integers(0, k)), draw(st.integers(2, 8), label="run")
-        # mostly c, so that many chunks of a row hold no other letter, and
-        # some rows of c only
+        # mostly c, so that rows take few steps and differ in their count,
+        # and some rows of c only
         texts[rng.random((rows, n)) < draw(st.sampled_from((0.0, 0.7, 0.95)), label="p(c)")] = c
         texts[rng.random(rows) < draw(st.sampled_from((0.0, 0.3)), label="c rows")] = c
         others = [v for v in range(k) if v != c]
@@ -221,7 +216,7 @@ def oracle_cases(draw, kinds=KINDS):
         pad = np.full((rows, draw(st.integers(0, 3), label="pad")), -1, dtype=np.int8)
         word = np.concatenate([word, pad], axis=1)
     cells = draw(st.one_of(st.integers(1, 1500), st.just(counting._TILE_CELLS)), label="tile cells")
-    return texts, word, cells, chunk
+    return texts, word, cells
 
 
 # small tile cells give each tile its own least row end
@@ -231,22 +226,104 @@ def test_kernel_matches_frozen_full_width_kernel(case):
     _assert_matches_frozen(*case)
 
 
-def _spy_tail_steps(mp) -> list:
-    """Record (rows, n, c) of every tile that runs on its compacted positions."""
+def _spy_step_index(mp) -> list:
+    """Record (rows, n, c, only_d) of every tile that runs on its compacted positions."""
     calls = []
-    tail_steps = counting._tail_steps
-    mp.setattr(counting, "_tail_steps", lambda texts, c: calls.append((*texts.shape, c)) or tail_steps(texts, c))
+    step_index = counting._step_index
+
+    def spy(texts, c, d):
+        index, steps, only_d = step_index(texts, c, d)
+        calls.append((*texts.shape, c, only_d))
+        return index, steps, only_d
+
+    mp.setattr(counting, "_step_index", spy)
     return calls
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_cases(kinds=("tail",)))
 def test_compacted_tiles_match_frozen_full_width_kernel(case):
-    texts, word, cells, chunk = case
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_tail_steps(mp)
-        _assert_matches_frozen(texts, word, cells, chunk)
+        calls = _spy_step_index(mp)
+        _assert_matches_frozen(*case)
     assert calls
+
+
+def _assert_compacts(texts, word, only_d, cells=counting._TILE_CELLS):
+    """Match the frozen kernel, with every tile on the compacted path and
+    its step body one-letter (only_d) or hit-masked."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_step_index(mp)
+        _assert_matches_frozen(texts, word, cells)
+    assert calls and all(call[3] == only_d for call in calls), calls
+
+
+def test_compacted_rows_with_no_step_and_with_a_step_at_every_position():
+    # row 0 reads only a, so it takes no step; row 1 reads only b, so it
+    # takes n; the others take from 1 to n - 1
+    rng = np.random.default_rng(8)
+    texts = (rng.random((6, 300)) >= 0.7).astype(np.int8)
+    texts[0], texts[1] = 0, 1
+    texts[2, 1:], texts[3, :-1] = 0, 1
+    for word in ((0,) * 3 + (1,) * 2, (0,) * 5 + (1,) * 9):
+        _assert_compacts(texts, word, only_d=True)
+        _assert_compacts(texts, word, only_d=True, cells=len(word) + 1)  # one-row tiles
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 200])
+def test_compacted_tile_in_which_no_row_takes_a_step(n):
+    texts = np.zeros((5, n), dtype=np.int8)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_step_index(mp)
+        z, shift = _float_counts(texts, (0,) * 4 + (1,) * 3)
+    assert calls == [(5, n, 0, True)]
+    assert z.tobytes() == np.zeros(5).tobytes() and not shift.any()
+    _assert_matches_frozen(texts, (0,) * 4 + (1,) * 3)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+def test_compacted_tiles_of_wider_and_unsigned_texts(dtype):
+    rng = np.random.default_rng(9)
+    binary = (rng.random((7, 400)) >= 0.6).astype(dtype)
+    _assert_compacts(binary, (0,) * 6 + (1,) * 6, only_d=True)
+    _assert_compacts(binary * 2 + 1, (1,) * 6 + (3,) * 4, only_d=True)
+    three = rng.integers(0, 3, size=(7, 400)).astype(dtype)
+    _assert_compacts(three, (2,) * 3 + (0, 1, 0), only_d=False)
+
+
+def test_compacted_per_row_block_words_with_different_tails():
+    # c^k d^l per row, l from 1 to 12, with a run k shared up to e_min - 1
+    rng = np.random.default_rng(10)
+    texts = (rng.random((12, 500)) >= 0.75).astype(np.int8)
+    words = _matrix([(0,) * 4 + (1,) * l for l in range(1, 13)])
+    _assert_compacts(texts, words, only_d=True)
+    _assert_compacts(texts, np.concatenate([words, np.full((12, 3), -1, np.int8)], axis=1), only_d=True)
+    # tails out of order, in tiles of one and of three rows
+    shuffled = _matrix([(0,) * 4 + (1,) * (1 + (5 * row) % 12) for row in range(12)])
+    for cells in (counting._TILE_CELLS, 17, 51):
+        _assert_compacts(texts, shuffled, only_d=True, cells=cells)
+
+
+def test_a_third_text_letter_under_a_one_letter_tail_takes_the_hit_branch():
+    rng = np.random.default_rng(12)
+    texts = (rng.random((6, 400)) >= 0.7).astype(np.int8)
+    texts[2, 5::37] = 2  # one row reads c, d and e
+    _assert_compacts(texts, (0,) * 5 + (1,) * 5, only_d=False)
+    _assert_compacts(texts[[0, 1, 3, 4, 5]], (0,) * 5 + (1,) * 5, only_d=True)
+
+
+def test_binary_block_word_steps_take_no_hit_mask(monkeypatch):
+    # a^20 b^20 over binary texts: every step's hit is 1 in every tail
+    # slot, so no np.equal builds a mask
+    rng = np.random.default_rng(13)
+    texts = (rng.random((64, 4000)) >= 0.7).astype(np.int8)
+    want = _frozen_float_counts(texts, (0,) * 20 + (1,) * 20)
+    equal, masks = np.equal, []
+    monkeypatch.setattr(np, "equal", lambda *args, **kw: masks.append(args[0].shape) or equal(*args, **kw))
+    calls = _spy_step_index(monkeypatch)
+    z, shift = _float_counts(texts, (0,) * 20 + (1,) * 20)
+    assert calls == [(64, 4000, 0, True)] and masks == []
+    assert z.tobytes() == want[0].tobytes() and shift.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [996, 1000, 1001, 1002, 1010, 1100])
@@ -316,11 +393,11 @@ def test_rescaling_tiles_build_no_lead_column(monkeypatch):
 
 
 def test_only_tiles_with_a_run_letter_free_tail_compact(monkeypatch):
-    calls = _spy_tail_steps(monkeypatch)
+    calls = _spy_step_index(monkeypatch)
     rng = np.random.default_rng(5)
     texts = (rng.random((6, 1200)) >= 0.7).astype(np.int8)
     _assert_matches_frozen(texts, (0,) * 20 + (1,) * 20)
-    assert calls == [(6, 1200, 0)]
+    assert calls == [(6, 1200, 0, True)]
     calls.clear()
     # aba (k = 1), a tail that holds the run letter, channel outputs (no
     # shared run), and a^600 b^2, whose tile may rescale: the position by
