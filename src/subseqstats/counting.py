@@ -19,24 +19,26 @@ a tile whose counts cannot pass _RESCALE_LIMIT, the slots that can no
 longer reach a row's end; such a tile also skips the max check.
 
 In such a tile, when every row's word starts with the same run c^k,
-k >= 2, the slots 1..k of that run depend only on how many c's a row has
-read (Flajolet, Szpankowski and Vallee, "Hidden word statistics", 2006):
-slot k is read from one column of k sequential cumsums (_lead_column),
-so the band starts at slot k + 1.  When no row's tail w_{k+1..m} holds c
-either, a position that reads c adds +0.0 to every slot of that band, so
-each row runs the band only over its other positions, in order.  Before
-the s-th of them, read at pos, the row has read pos - s c's, and slot k
-is the column's entry there.  _step_index gathers those entries
+k >= 2, and no row's tail w_{k+1..m} holds c, a position that reads c
+adds +0.0 to every tail slot, so each row steps only through its other
+positions, in order (_step_loop).  The run's slots depend only on how
+many c's a row has read (Flajolet, Szpankowski and Vallee, "Hidden word
+statistics", 2006): before the s-th such position, read at pos, the row
+has read pos - s c's, and slot k is entry pos - s of one column of k
+sequential cumsums (_lead_column).  _step_index gathers those entries
 step-major, (steps, rows), once per tile, and step s runs every row at
 its own s-th position; a row whose positions have run out is read off
 and its state column set to 0.0.  When every tail is one letter d and
 the texts hold only c and d, every step has hit 1 in every tail slot and
-is a plain add, with no hit mask.  Every count keeps its bits.
+is a plain add, with no hit mask.  Every other tile, a tail that holds c
+included, runs the position loop from slot 1.  Every count keeps its
+bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +127,19 @@ def brute_force_count(text: Text, pattern: Pattern) -> int:
 
 
 def constant_pattern_count(text: Text, symbol: int, m: int) -> CountValue:
-    """Count for the constant pattern symbol^m: C(#occurrences of symbol, m)."""
+    """Count for the constant pattern symbol^m: C(#occurrences of symbol, m).
+
+    The symbol must be a letter of the text's alphabet, or lie in [0, 127]
+    for a text without one; a symbol or m that is not an integer is rejected.
+    """
+    try:
+        symbol, m = operator.index(symbol), operator.index(m)
+    except TypeError:
+        raise ValueError("symbol and m must be integers") from None
     if m < 1:
         raise ValueError("m must be at least 1")
-    if symbol < 0:
-        raise ValueError("symbol index must be nonnegative")
+    if not 0 <= symbol < (128 if text.alphabet is None else text.alphabet.size):
+        raise ValueError(f"symbol index {symbol} is not a letter of the text's alphabet")
     n_sym = int(np.count_nonzero(text.letters == symbol))
     z = math.comb(n_sym, m)
     return CountValue(z, math.log(z) if z else -math.inf)
@@ -181,18 +191,6 @@ def _may_rescale(n: int, m: int) -> bool:
     factor 2 covers float rounding.
     """
     return 2 * math.comb(n, min(m, n // 2)) >= _RESCALE_LIMIT
-
-
-def _leading_run(cols: np.ndarray, cap: int) -> int:
-    """Length k <= cap of the run c^k that starts every column's word, 0 if below 2.
-
-    Slot by slot, so words that differ early, as channel outputs do, cost
-    one comparison.
-    """
-    k = 0
-    while k < cap and (cols[k] == cols[0, 0]).all():
-        k += 1
-    return k if k >= 2 else 0
 
 
 def _lead_column(n: int, k: int) -> np.ndarray:
@@ -252,110 +250,47 @@ def _step_index(texts: np.ndarray, c: int, d: int | None):
 def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     """One tile of rows of _float_counts, on buffers sized for that tile.
 
-    Position t (0-based) updates only the live band of slots [a, b], with
+    A tile that cannot rescale (_may_rescale), whose words all start with
+    the same run c^k, k >= 2, at most e_min - 1 (e_min the tile's least
+    row end), and whose tails w_{k+1..m} hold no c, runs _step_loop.
+    Every other tile runs one vector update per text position.  Position
+    t (0-based) updates only the live band of slots [a, b], with
     b = min(m, t + 1): every slot above b still holds an exact 0.0.  a = 1
-    when a row of the tile may rescale (_may_rescale).  Otherwise
-    a = max(k + 1, e_min - (n - 1 - t)), e_min the tile's least row end,
-    and the max check is dropped: a slot below e_min - (n - 1 - t) can no
-    longer reach any row's end and feeds only other such slots.  k is the
-    leading run c^k that every row's word shares, at most e_min - 1, in a
-    tile that cannot rescale, or 0 when that run is shorter than 2.  Slots
-    1..k then take no update: before each position, slot k is set to its
-    value in _lead_column at the count of c's the row has read, gathered
-    with one ``np.take`` per block.  Every add with hit = 1 still happens,
-    in the same order, and no rescale decision changes, so the bits are
-    those of the full update.
-
-    When c is also absent from every row's tail w_{k+1..m}, a position
-    that reads c has hit = 0 in every slot of [k + 1, m]: its update adds
-    +0.0 to finite values and changes no bit, and slot k is read only at
-    the other positions.  Each row then steps through those only, in
-    order: step s runs every row at its own s-th such position, read at
-    pos, with slot k set to the column's entry pos - s (_step_index).
-    Every step runs the full band [k + 1, m], the full-width update of
-    those slots, whose bits the live band keeps at every row's end.
-    Before step s, the rows with s steps are read off and their state
-    columns set to 0.0; their index is 0 from then on, whose entry is
-    0.0, so they only add 0.0 + 0.0.  When every tail letter is one d
-    (-1 padding aside) and every such position reads d, hit is 1 in each
-    slot up to a row's end, and a step is ``np.copyto(prod, below);
-    band += prod``, the same IEEE add as x + y * 1.0, with no hit mask;
-    the slots past a row's end, which are never read, take it too.  Other
-    tails multiply by hit, filled from the step's letters at pos.
+    when a row of the tile may rescale.  Otherwise a = max(1, e_min -
+    (n - 1 - t)), and the max check is dropped: a slot below
+    e_min - (n - 1 - t) can no longer reach any row's end and feeds only
+    other such slots.
     """
     (batch, n), m = texts.shape, len(cols)
+    rescales = _may_rescale(n, m)
+    e_min = int(ends.min())
+    # the run c^k that starts every row's word, slot by slot, so words that
+    # differ early, as channel outputs do, cost one comparison; a rescale
+    # would scale the run's slots too, so such tiles never step
+    k = 0
+    while not rescales and k < e_min - 1 and (cols[k] == cols[0, 0]).all():
+        k += 1
+    if k >= 2 and not (cols[k:] == cols[0, 0]).any():
+        return _step_loop(texts, cols, ends, k)
     state = np.zeros((m + 1, batch))
     state[0] = 1.0
     shift = np.zeros(batch)
     tmp = np.empty((m, batch))
-    rescales = _may_rescale(n, m)
-    e_min = int(ends.min())
-    # a rescale would scale the leading slots too, so such tiles keep k = 0
-    k = 0 if rescales else _leading_run(cols, e_min - 1)
-    # views of the full band [k + 1, m], the band of most positions, made once
-    below, band, prod = state[k:m], state[k + 1 :], tmp[k:]
-    if k:
-        c = int(cols[0, 0])
-        column = _lead_column(n, k)
-        lead = np.empty((_BLOCK, batch))
-        tail = cols[k:]
-        if not (tail == c).any():
-            # every row's slot k + 1 holds a letter, since k < e_min
-            d = int(tail[0, 0])
-            one_letter = ((tail == d) | (tail < 0)).all()
-            index, steps, only_d = _step_index(texts, c, d if one_letter else None)
-            if not only_d:
-                hit = np.empty((_BLOCK, m - k, batch), dtype=bool)
-                rows = np.arange(batch)
-            # rows by step count: a row is read off before the step that its count names
-            order = np.argsort(steps, kind="stable")
-            cuts = np.flatnonzero(np.diff(steps[order])) + 1
-            stops = {int(steps[part[0]]): part for part in np.split(order, cuts)}
-            z = np.empty(batch)
-            for lo in range(0, len(index), _BLOCK):
-                block = index[lo : lo + _BLOCK]
-                size = len(block)
-                np.take(column, block, out=lead[:size], mode="clip")
-                if not only_d:
-                    letters = texts[rows, block + np.arange(lo, lo + size)[:, None]]
-                    np.equal(letters[:, None, :], tail, out=hit[:size])
-                for t in range(size):
-                    done = stops.get(lo + t)
-                    if done is not None:
-                        z[done] = state[ends[done], done]
-                        state[:, done] = 0.0
-                    state[k] = lead[t]
-                    if only_d:
-                        np.copyto(prod, below)
-                    else:
-                        np.multiply(below, hit[t], out=prod)
-                    band += prod
-            done = stops[len(index)]
-            z[done] = state[ends[done], done]
-            return z, shift
-        # seen[t]: the c's each row has read before position lo + t
-        seen = np.zeros((_BLOCK + 1, batch), dtype=np.intp)
     hit = np.empty((_BLOCK, m, batch), dtype=bool)
-    hit_band = [hit[t, k:] for t in range(_BLOCK)]
-    # the band of position t starts at a = max(k + 1, t + skip)
+    # views of the full band [1, m], the band of most positions, made once
+    below, band, hits = state[:m], state[1:], list(hit)
+    # the band of position t starts at a = max(1, t + skip)
     skip = -n if rescales else e_min + 1 - n
     for lo in range(0, n, _BLOCK):
         block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
         size = len(block)
-        a, b = max(k + 1, lo + skip), min(m, lo + size)
+        a, b = max(1, lo + skip), min(m, lo + size)
         np.equal(block[:, None, :], cols[a - 1 : b], out=hit[:size, a - 1 : b])
-        if k:
-            np.cumsum(block == c, axis=0, out=seen[1 : size + 1])
-            seen[1 : size + 1] += seen[0]
-            np.take(column, seen[:size], out=lead[:size])
-            seen[0] = seen[size]
         for t in range(size):
-            a, b = max(k + 1, lo + t + skip), min(m, lo + t + 1)
-            if k:
-                state[k] = lead[t]
-            if a == k + 1 and b == m:
-                np.multiply(below, hit_band[t], out=prod)
-                band += prod
+            a, b = max(1, lo + t + skip), min(m, lo + t + 1)
+            if a == 1 and b == m:
+                np.multiply(below, hits[t], out=tmp)
+                band += tmp
             else:
                 np.multiply(state[a - 1 : b], hit[t, a - 1 : b], out=tmp[a - 1 : b])
                 state[a : b + 1] += tmp[a - 1 : b]
@@ -365,6 +300,64 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
                 state[:, hot] *= _RESCALE_FACTOR
                 shift[hot] += _RESCALE_LN
     return state[ends, np.arange(batch)], shift
+
+
+def _step_loop(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray, k: int):
+    """One tile whose words share the run c^k, k >= 2, and whose tails hold no c.
+
+    A position that reads c has hit = 0 in every slot of [k + 1, m]: its
+    update adds +0.0 to finite values and changes no bit.  So step s runs
+    every row at its own s-th other position, read at pos, with slot k
+    set to the _lead_column entry pos - s (_step_index); state row i holds
+    slot k + i.  Every step runs the full band [k + 1, m], the full-width
+    update of those slots, whose bits the live band keeps at every row's
+    end.  Before step s, the rows with s steps are read off and their
+    state columns set to 0.0; their index is 0 from then on, whose entry
+    is 0.0, so they only add 0.0 + 0.0.  When every tail letter is one d
+    (-1 padding aside) and every such position reads d, hit is 1 in each
+    slot up to a row's end, and a step is ``np.copyto(prod, below);
+    band += prod``, the same IEEE add as x + y * 1.0, with no hit mask;
+    the slots past a row's end, which are never read, take it too.  Other
+    tails multiply by hit, filled from the step's letters at pos.
+    """
+    (batch, n), m = texts.shape, len(cols)
+    c, tail = int(cols[0, 0]), cols[k:]
+    state = np.zeros((m - k + 1, batch))
+    below, band, prod = state[:-1], state[1:], np.empty((m - k, batch))
+    column, lead = _lead_column(n, k), np.empty((_BLOCK, batch))
+    # every row's slot k + 1 holds a letter, since k < e_min
+    d = int(tail[0, 0])
+    one_letter = ((tail == d) | (tail < 0)).all()
+    index, steps, only_d = _step_index(texts, c, d if one_letter else None)
+    if not only_d:
+        hit = np.empty((_BLOCK, m - k, batch), dtype=bool)
+        rows = np.arange(batch)
+    # rows by step count: a row is read off before the step that its count names
+    order = np.argsort(steps, kind="stable")
+    cuts = np.flatnonzero(np.diff(steps[order])) + 1
+    stops = {int(steps[part[0]]): part for part in np.split(order, cuts)}
+    z = np.empty(batch)
+    for lo in range(0, len(index), _BLOCK):
+        block = index[lo : lo + _BLOCK]
+        size = len(block)
+        np.take(column, block, out=lead[:size], mode="clip")
+        if not only_d:
+            letters = texts[rows, block + np.arange(lo, lo + size)[:, None]]
+            np.equal(letters[:, None, :], tail, out=hit[:size])
+        for t in range(size):
+            done = stops.get(lo + t)
+            if done is not None:
+                z[done] = state[ends[done] - k, done]
+                state[:, done] = 0.0
+            state[0] = lead[t]
+            if only_d:
+                np.copyto(prod, below)
+            else:
+                np.multiply(below, hit[t], out=prod)
+            band += prod
+    done = stops[len(index)]
+    z[done] = state[ends[done] - k, done]
+    return z, np.zeros(batch)
 
 
 def batched_ln_counts(texts: np.ndarray, word) -> np.ndarray:

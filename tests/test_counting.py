@@ -59,6 +59,14 @@ def test_constant_pattern_shortcut(dist):
     assert constant_pattern_count(t, 0, 2).exact == 3  # C(3, 2)
     assert constant_pattern_count(make_text("bbbb"), 0, 1).exact == 0
     assert constant_pattern_count(t, 1, 1).exact == 2
+    assert constant_pattern_count(Text(np.array([0, 127, 127], dtype=np.int8)), 127, 2).exact == 1
+    # a symbol the text cannot hold, and arguments that are not integers
+    for symbol, m in ((2, 2), (5, 2), (-1, 2), (0, 0), (0.0, 2), (0, 2.0), ("a", 2)):
+        with pytest.raises(ValueError):
+            constant_pattern_count(t, symbol, m)
+    for symbol in (128, 300, -1):
+        with pytest.raises(ValueError):
+            constant_pattern_count(Text(t.letters), symbol, 2)
 
 
 def test_matches_brute_force_random_instances(dist):

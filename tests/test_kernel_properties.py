@@ -4,8 +4,9 @@ The kernel must track the exact big-integer count, and a row's bits must
 not depend on whether its word is shared or given per row, on extra
 padding columns, or on which other rows share its batch.  A frozen copy
 of the full-width tile kernel, which updates every slot at every
-position, pins the bits of the live-band kernel, of its leading-run
-column, and of the tiles that skip the positions of their run letter.
+position, pins the bits of the live-band kernel and of the tiles that
+skip the positions of their run letter and read its slots from the
+leading-run column.
 """
 
 import math
@@ -394,16 +395,21 @@ def test_rescaling_tiles_build_no_lead_column(monkeypatch):
 
 def test_only_tiles_with_a_run_letter_free_tail_compact(monkeypatch):
     calls = _spy_step_index(monkeypatch)
+    built = []
+    lead_column = counting._lead_column
+    monkeypatch.setattr(counting, "_lead_column", lambda n, k: built.append((n, k)) or lead_column(n, k))
     rng = np.random.default_rng(5)
     texts = (rng.random((6, 1200)) >= 0.7).astype(np.int8)
     _assert_matches_frozen(texts, (0,) * 20 + (1,) * 20)
-    assert calls == [(6, 1200, 0, True)]
+    assert calls == [(6, 1200, 0, True)] and built == [(1200, 20)]
     calls.clear()
-    # aba (k = 1), a tail that holds the run letter, channel outputs (no
-    # shared run), and a^600 b^2, whose tile may rescale: the position by
-    # position loop
+    built.clear()
+    # aba (k = 1), tails that hold the run letter (aaaba, aabab,
+    # aabbbbbbabba), channel outputs (no shared run), and a^600 b^2, whose
+    # tile may rescale: the position by position loop, with no lead column
     outputs = _matrix([tuple(row[rng.random(1200) >= 0.3]) for row in texts])
     assert counting._may_rescale(1200, 602)
-    for word in ((0, 1, 0), (0, 0, 0, 1, 0), outputs, (0,) * 600 + (1,) * 2):
+    run_letter_tails = [(0, 0, 0, 1, 0), (0, 0, 1, 0, 1), (0, 0) + (1,) * 6 + (0, 1, 1, 0)]
+    for word in [(0, 1, 0), *run_letter_tails, outputs, (0,) * 600 + (1,) * 2]:
         _assert_matches_frozen(texts, word)
-    assert calls == []
+    assert calls == [] and built == []
