@@ -26,13 +26,13 @@ many c's a row has read (Flajolet, Szpankowski and Vallee, "Hidden word
 statistics", 2006): before the s-th such position, read at pos, the row
 has read pos - s c's, and slot k is entry pos - s of one column of k
 sequential cumsums (_lead_column).  _step_index gathers those entries
-step-major, (steps, rows), once per tile, and step s runs every row at
-its own s-th position; a row whose positions have run out is read off
-and its state column set to 0.0.  When every tail is one letter d and
-the texts hold only c and d, every step has hit 1 in every tail slot and
-is a plain add, with no hit mask.  Every other tile, a tail that holds c
-included, runs the position loop from slot 1.  Every count keeps its
-bits.
+step-major, (steps, rows), once per tile, with each row's steps at the
+end: a row with fewer steps starts later, on a state of zeros that its
+earlier steps leave at +0.0, and every row is read off after the last
+step.  When every tail is one letter d and the texts hold only c and d,
+every step has hit 1 in every tail slot and is a plain add, with no hit
+mask.  Every other tile, a tail that holds c included, runs the position
+loop from slot 1.  Every count keeps its bits.
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:
     """
     if texts.ndim != 2:
         raise ValueError(f"texts must be a (batch, n) array, got shape {texts.shape}")
+    if texts.dtype.kind not in "iu":
+        raise ValueError(f"texts must be letter indices of an integer dtype, got {texts.dtype}")
     if texts.size and texts.min() < 0:
         raise ValueError("text letter indices must be nonnegative")
     batch = texts.shape[0]
@@ -210,16 +212,17 @@ def _lead_column(n: int, k: int) -> np.ndarray:
 def _step_index(texts: np.ndarray, c: int, d: int | None):
     """Step-major lead indices of each row's positions that do not read c.
 
-    Returns (index, steps, only_d).  index[s, r] is pos - s for the s-th
-    such position of row r, read at pos: the count of c's the row has read
-    before it, so its entry in _lead_column.  Past a row's steps[r] such
-    positions it is 0, whose entry is 0.0.  It has the smallest unsigned
-    dtype that holds n.  only_d tells whether every such letter is d
-    (False for d None).  Rows are read _BLOCK at a time: one pass counts
-    each row's positions, and a second fills them from one np.flatnonzero
-    per block, in which an entry's flat index less its rank counts the
-    c's before it, those of the rows above included; the row's base takes
-    those off.  So no index of the whole tile is ever held in intp.
+    Returns (index, steps, only_d).  Rows end on the last step: the s-th
+    such position of row r, read at pos, is step len(index) - steps[r] + s,
+    and index there is pos - s, the c's read before it, so its entry in
+    _lead_column.  The steps before a row's first are 0, whose entry is
+    0.0.  index has the smallest unsigned dtype that holds n.  only_d tells
+    whether every such letter is d (False for d None).  Rows are read
+    _BLOCK at a time: one pass counts each row's positions, and a second
+    fills them from one np.flatnonzero per block, in which an entry's flat
+    index less its rank counts the c's before it, those of the rows above
+    included; the row's base takes those off.  So no index of the whole
+    tile is ever held in intp.
     """
     rows, n = texts.shape
     steps = np.empty(rows, dtype=np.intp)
@@ -242,7 +245,7 @@ def _step_index(texts: np.ndarray, c: int, d: int | None):
         rect.fill(0)
         flat -= np.arange(len(flat))
         flat -= np.repeat(base, counts)
-        rect[upto < counts[:, None]] = flat
+        rect[upto >= len(index) - counts[:, None]] = flat
         index[:, lo : lo + len(part)] = rect.T
     return index, steps, only_d
 
@@ -306,19 +309,18 @@ def _step_loop(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray, k: int):
     """One tile whose words share the run c^k, k >= 2, and whose tails hold no c.
 
     A position that reads c has hit = 0 in every slot of [k + 1, m]: its
-    update adds +0.0 to finite values and changes no bit.  So step s runs
-    every row at its own s-th other position, read at pos, with slot k
-    set to the _lead_column entry pos - s (_step_index); state row i holds
-    slot k + i.  Every step runs the full band [k + 1, m], the full-width
-    update of those slots, whose bits the live band keeps at every row's
-    end.  Before step s, the rows with s steps are read off and their
-    state columns set to 0.0; their index is 0 from then on, whose entry
-    is 0.0, so they only add 0.0 + 0.0.  When every tail letter is one d
-    (-1 padding aside) and every such position reads d, hit is 1 in each
-    slot up to a row's end, and a step is ``np.copyto(prod, below);
-    band += prod``, the same IEEE add as x + y * 1.0, with no hit mask;
-    the slots past a row's end, which are never read, take it too.  Other
-    tails multiply by hit, filled from the step's letters at pos.
+    update adds +0.0 to finite values and changes no bit.  So a row steps
+    only through its other positions, with slot k set to the step's
+    _lead_column entry (_step_index); state row i holds slot k + i.  A
+    row with fewer steps starts later, and its state column stays +0.0
+    until then (0.0 + 0.0 * hit); every row ends on the last step and is
+    read off after it.  Every step runs the full band [k + 1, m], the
+    full-width update of those slots, whose bits the live band keeps at
+    every row's end.  When every tail letter is one d (-1 padding aside)
+    and every such position reads d, hit is 1 in each slot up to a row's
+    end, and a step is ``np.copyto(prod, below); band += prod``, the same
+    IEEE add as x + y * 1.0, with no hit mask; the slots past a row's end,
+    which are never read, take it too.  Other tails multiply by hit.
     """
     (batch, n), m = texts.shape, len(cols)
     c, tail = int(cols[0, 0]), cols[k:]
@@ -331,33 +333,27 @@ def _step_loop(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray, k: int):
     index, steps, only_d = _step_index(texts, c, d if one_letter else None)
     if not only_d:
         hit = np.empty((_BLOCK, m - k, batch), dtype=bool)
-        rows = np.arange(batch)
-    # rows by step count: a row is read off before the step that its count names
-    order = np.argsort(steps, kind="stable")
-    cuts = np.flatnonzero(np.diff(steps[order])) + 1
-    stops = {int(steps[part[0]]): part for part in np.split(order, cuts)}
-    z = np.empty(batch)
+        rows, first = np.arange(batch), len(index) - steps
     for lo in range(0, len(index), _BLOCK):
         block = index[lo : lo + _BLOCK]
         size = len(block)
         np.take(column, block, out=lead[:size], mode="clip")
         if not only_d:
-            letters = texts[rows, block + np.arange(lo, lo + size)[:, None]]
+            # a row's own step is the tile's less its first; a step before
+            # its first reads a negative position, a letter of the same row,
+            # whose hit cannot matter: that row's column is all zeros
+            at = np.arange(lo, lo + size)[:, None] - first
+            at += block  # in place: one fresh (size, batch) array fewer
+            letters = texts[rows, at]
             np.equal(letters[:, None, :], tail, out=hit[:size])
         for t in range(size):
-            done = stops.get(lo + t)
-            if done is not None:
-                z[done] = state[ends[done] - k, done]
-                state[:, done] = 0.0
             state[0] = lead[t]
             if only_d:
                 np.copyto(prod, below)
             else:
                 np.multiply(below, hit[t], out=prod)
             band += prod
-    done = stops[len(index)]
-    z[done] = state[ends[done] - k, done]
-    return z, np.zeros(batch)
+    return state[ends - k, np.arange(batch)], np.zeros(batch)
 
 
 def batched_ln_counts(texts: np.ndarray, word) -> np.ndarray:

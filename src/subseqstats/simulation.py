@@ -203,7 +203,9 @@ def ks_statistic(values: np.ndarray, support: np.ndarray | None = None) -> float
 
 
 def ks_critical(trials: int) -> float:
-    """Asymptotic 5% two-sided critical value."""
+    """Asymptotic 5% two-sided critical value, for at least one trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return KS_COEFF_5PCT / math.sqrt(trials)
 
 

@@ -42,14 +42,14 @@ def derive_seed(master_seed: int, stream_index: int) -> int:
 
     SplitMix64 finalizer on master + index * golden-ratio increment.
     Distinct indices give well-spread seeds even for master seeds that
-    differ by small amounts.  Arguments that are not integers and master
-    seeds outside [0, 2^64) are rejected.
+    differ by small amounts.  Arguments that are not integers, and master
+    seeds and stream indices outside [0, 2^64), are rejected.
     """
     master_seed, stream_index = operator.index(master_seed), operator.index(stream_index)
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
-    if stream_index < 0:
-        raise ValueError("stream_index must be nonnegative")
+    if not 0 <= stream_index <= _MASK64:
+        raise ValueError(f"stream index must lie in [0, 2^64), got {stream_index}")
     x = (master_seed + (stream_index + 1) * _GOLDEN64) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -64,17 +64,18 @@ def derive_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
 
     The same SplitMix64 steps on uint64 arrays, which wrap modulo 2^64
     without a warning (numpy scalars would warn).  Master seeds outside
-    [0, 2^64), a negative ``lo`` and arguments that are not integers are
+    [0, 2^64), indices outside it and arguments that are not integers are
     rejected as ``derive_seed`` does.
     """
     master_seed, lo, hi = operator.index(master_seed), operator.index(lo), operator.index(hi)
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
-    if lo < 0:
-        raise ValueError("stream_index must be nonnegative")
+    if lo < 0 or hi > _MASK64 + 1:
+        raise ValueError(f"stream indices [{lo}, {hi}) must lie in [0, 2^64)")
     if hi < lo:
         raise ValueError(f"stream index range [{lo}, {hi}) is reversed")
-    x = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    # index 2^64 - 1 plus 1 wraps to 0, as in derive_seed
+    x = np.arange(lo, hi, dtype=np.uint64) + np.uint64(1)
     x *= np.uint64(_GOLDEN64)
     x += np.uint64(master_seed)
     x ^= x >> np.uint64(30)

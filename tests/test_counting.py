@@ -188,6 +188,16 @@ def test_kernel_rejects_texts_that_are_not_2d():
         batched_ln_counts(np.zeros((2, 3, 4), dtype=np.int8), (0, 1))
 
 
+def test_kernel_rejects_texts_that_are_not_integers():
+    # half letters would compare unequal to every word letter: -inf, silently
+    with pytest.raises(ValueError, match="integer dtype"):
+        batched_ln_counts(np.zeros((2, 5)) + 0.5, (0, 1))
+    texts = np.array([[0, 1, 0, 1, 1], [1, 1, 0, 0, 1]])
+    want = batched_ln_counts(texts.astype(np.int8), (0, 1))
+    for dtype in (np.uint8, np.int16, np.int64):
+        assert batched_ln_counts(texts.astype(dtype), (0, 1)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("word", [(0, -1), (0, 128), (300,)])
 def test_kernel_rejects_word_letters_outside_int8_range(word):
     # -1 is the padding sentinel of a word matrix and never a letter

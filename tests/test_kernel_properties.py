@@ -269,6 +269,13 @@ def test_compacted_rows_with_no_step_and_with_a_step_at_every_position():
     for word in ((0,) * 3 + (1,) * 2, (0,) * 5 + (1,) * 9):
         _assert_compacts(texts, word, only_d=True)
         _assert_compacts(texts, word, only_d=True, cells=len(word) + 1)  # one-row tiles
+    # over three letters the steps take the hit mask: row 0, all c, gathers
+    # only before its first step, at negative positions; row 1 reads no c
+    three = rng.integers(0, 3, size=(6, 300)).astype(np.int8)
+    three[0], three[1] = 0, rng.integers(1, 3, size=300)
+    for word in ((0,) * 3 + (1, 2), (0,) * 5 + (2, 1) * 4):
+        _assert_compacts(three, word, only_d=False)
+        _assert_compacts(three, word, only_d=False, cells=len(word) + 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 17, 200])

@@ -61,6 +61,9 @@ def test_ks_statistic_on_ideal_sample():
 
 def test_ks_critical_value():
     assert ks_critical(10_000) == pytest.approx(0.01358)
+    for trials in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            ks_critical(trials)
 
 
 @pytest.fixture(scope="module")

@@ -171,6 +171,14 @@ def test_derive_seeds_rejects_what_derive_seed_rejects():
         derive_seeds(5, -1, 3)
     with pytest.raises(ValueError):
         derive_seeds(5, 4, 3)
+    # stream indices lie in [0, 2^64); 2^64 would wrap to index 0
+    with pytest.raises(ValueError):
+        derive_seed(5, 2**64)
+    for lo, hi in ((2**64 - 1, 2**64 + 1), (2**64, 2**64 + 1), (0, 2**70)):
+        with pytest.raises(ValueError):
+            derive_seeds(5, lo, hi)
+    assert derive_seeds(1, 2**64 - 1, 2**64).tolist() == [derive_seed(1, 2**64 - 1)]
+    assert derive_seeds(1, 2**64 - 3, 2**64).tolist() == [derive_seed(1, 2**64 - j) for j in (3, 2, 1)]
 
 
 def test_seeds_that_are_not_integers_rejected():
