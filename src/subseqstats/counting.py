@@ -163,7 +163,7 @@ def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:
     if texts.size and texts.min() < 0:
         raise ValueError("text letter indices must be nonnegative")
     batch = texts.shape[0]
-    w = np.asarray(word, dtype=np.int64)
+    w = np.asarray(word)
     shared = w.ndim == 1
     if shared:
         w = w[None, :]
@@ -171,11 +171,12 @@ def _float_counts(texts: np.ndarray, word) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"word shape {w.shape} is neither one word nor one row per text ({batch})")
     ends = (w >= 0).sum(axis=1)
     if w.size and (
-        w.min() < (0 if shared else -1)
+        w.dtype.kind not in "iu"
+        or w.min() < (0 if shared else -1)
         or w.max() > 127
         or not np.array_equal(w >= 0, np.arange(w.shape[1]) < ends[:, None])
     ):
-        raise ValueError("word letters must lie in [0, 127]; matrix rows are padded with -1")
+        raise ValueError("word letters must be integers in [0, 127]; matrix rows are padded with -1")
     cols = np.broadcast_to(np.ascontiguousarray(w.T, dtype=np.int8), (w.shape[1], batch))
     ends = np.broadcast_to(ends, batch)
     z, shift = np.empty(batch), np.empty(batch)

@@ -158,8 +158,9 @@ def _fill_occupancy_block(rows: np.ndarray, n: int, m: int, i_first: int) -> Non
     rows /= rows.sum(axis=1, keepdims=True)
 
 
-def _tau_sq_block(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: int) -> np.ndarray:
-    """tau_i^2 / C(n-1, m-1)^2 = sum_a S_a^2 / p_a - 1 for i = i_lo..i_hi.
+def _tau_sq_blocks(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: int):
+    """Yield tau_i^2 / C(n-1, m-1)^2 = sum_a S_a^2 / p_a - 1 for i = i_lo..i_hi,
+    one block of rows of about ``_BLOCK_CELLS`` entries at a time.
 
     S_a sums row i over the pattern slots that use letter a, in slot
     order: one vector add per slot over a transposed copy of the block
@@ -168,24 +169,28 @@ def _tau_sq_block(dist: SourceDist, pattern: Pattern, n: int, i_lo: int, i_hi: i
     clamped at tiny negatives; one below -1e-9 means the occupancy row
     lost too much precision and raises instead.
     """
-    rows = occupancy_rows(n, pattern.length, i_lo, i_hi)
     word = np.asarray(pattern.word)
-    sums = np.zeros((rows.shape[0], pattern.alphabet.size))
     letters = np.unique(word)
-    by_slot = np.ascontiguousarray(rows.T)
-    for a in letters:
-        slots = by_slot if letters.size == 1 else by_slot[word == a]
-        if len(rows) > 1:
-            sums[:, a] = np.add.reduce(slots, axis=0)
-        else:
-            sums[:, a] = np.cumsum(slots, axis=0)[-1]
-    r = np.sum(sums * sums / np.asarray(dist.probs), axis=1) - 1.0
-    bad = np.flatnonzero(r < -1e-9)
-    if bad.size:
-        raise ArithmeticError(
-            f"normalized tau^2 at i={i_lo + bad[0]} came out {r[bad[0]]}, below the -1e-9 guard"
-        )
-    return np.maximum(r, 0.0)
+    masks = [(a, None if letters.size == 1 else word == a) for a in letters]
+    probs = np.asarray(dist.probs)
+    step = max(1, _BLOCK_CELLS // pattern.length)
+    for lo in range(i_lo, i_hi + 1, step):
+        rows = occupancy_rows(n, pattern.length, lo, min(lo + step - 1, i_hi))
+        sums = np.zeros((rows.shape[0], probs.size))
+        by_slot = np.ascontiguousarray(rows.T)
+        for a, mask in masks:
+            slots = by_slot if mask is None else by_slot[mask]
+            if len(rows) > 1:
+                sums[:, a] = np.add.reduce(slots, axis=0)
+            else:
+                sums[:, a] = np.cumsum(slots, axis=0)[-1]
+        r = np.sum(sums * sums / probs, axis=1) - 1.0
+        bad = np.flatnonzero(r < -1e-9)
+        if bad.size:
+            raise ArithmeticError(
+                f"normalized tau^2 at i={lo + bad[0]} came out {r[bad[0]]}, below the -1e-9 guard"
+            )
+        yield np.maximum(r, 0.0)
 
 
 def _check_pair(dist: SourceDist, pattern: Pattern, n: int) -> None:
@@ -198,7 +203,7 @@ def _check_pair(dist: SourceDist, pattern: Pattern, n: int) -> None:
 def tau_sq(i: int, dist: SourceDist, pattern: Pattern, n: int) -> float:
     """ln of the variance contribution of text position i to the linear term."""
     _check_pair(dist, pattern, n)
-    r = float(_tau_sq_block(dist, pattern, n, i, i)[0])
+    r = float(next(_tau_sq_blocks(dist, pattern, n, i, i))[0])
     return _ln(r) + log_binomial(n - 1, pattern.length - 1) * 2
 
 
@@ -219,16 +224,12 @@ def tau_sq_exact(i: int, dist: SourceDist, pattern: Pattern, n: int) -> Fraction
 def sigma1_sq_normalized(dist: SourceDist, pattern: Pattern, n: int) -> float:
     """sigma_1^2 / C(n-1, m-1)^2 as a plain float.
 
-    Rows are built in blocks of about ``_BLOCK_CELLS`` entries; the
-    per-position values are then added left to right, in the same order
-    whatever the block size.  A mismatched pair never enters the cache.
+    The per-position values of ``_tau_sq_blocks`` are added left to right,
+    in the same order whatever the block size.  A mismatched pair never
+    enters the cache.
     """
     _check_pair(dist, pattern, n)
-    step = max(1, _BLOCK_CELLS // pattern.length)
-    values = []
-    for i_lo in range(1, n + 1, step):
-        values += _tau_sq_block(dist, pattern, n, i_lo, min(i_lo + step - 1, n)).tolist()
-    return left_sum(values)
+    return left_sum(v for block in _tau_sq_blocks(dist, pattern, n, 1, n) for v in block.tolist())
 
 
 def sigma1_sq(dist: SourceDist, pattern: Pattern, n: int) -> float:

@@ -84,7 +84,7 @@ class PatternSpec:
 
     @classmethod
     def explicit(cls, word) -> "PatternSpec":
-        return cls(kind="explicit", word=tuple(int(j) for j in word))
+        return cls(kind="explicit", word=tuple(operator.index(j) for j in word))
 
     @classmethod
     def constant(cls, symbol: int, m: int) -> "PatternSpec":

@@ -4,12 +4,12 @@ Text letters are i.i.d. draws from a fixed distribution over a finite
 alphabet.  Symbols are handled as integer indices internally; strings
 appear only at construction and display time.  Generation is driven by a
 per-stream seed so that a master seed plus a trial index always yields
-the same text regardless of how trials are grouped into batches.  The
-streams of a batch share one Generator, set to each seed's PCG64 start
-state, which a numpy port of ``SeedSequence`` computes; ``derive_seeds``
-gives a span's stream seeds as one uint64 array.  Every uniform is read
-through ``stream_blocks``: streams fill the rows of a reused block, and
-one sampler turns a whole block into letters.
+the same text regardless of how trials are grouped into batches.  Each
+stream is its own Generator over numpy's PCG64, seeded in C from the
+words that a numpy port of ``SeedSequence`` computes for many seeds at
+once; ``derive_seeds`` gives a span's stream seeds as one uint64 array.
+Every uniform is read through ``stream_blocks``: streams fill the rows
+of a reused block, and one sampler turns a whole block into letters.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MAX_DENOMINATOR = 10**6
 _GOLDEN64 = 0x9E3779B97F4A7C15
 # a block of stream uniforms holds at most this many cells, or one stream if that is longer
@@ -189,16 +188,13 @@ class Pattern:
 
     @classmethod
     def from_indices(cls, dist: SourceDist, word) -> "Pattern":
-        word = tuple(int(j) for j in word)
+        word = tuple(operator.index(j) for j in word)
         if len(word) == 0:
             raise ValueError("pattern must be nonempty")
         k = dist.alphabet.size
         if any(not (0 <= j < k) for j in word):
             raise ValueError("pattern letter index out of alphabet range")
-        counts = [0] * k
-        for j in word:
-            counts[j] += 1
-        return cls(dist.alphabet, word, tuple(counts))
+        return cls(dist.alphabet, word, tuple(word.count(a) for a in range(k)))
 
     @classmethod
     def from_string(cls, dist: SourceDist, s: str) -> "Pattern":
@@ -331,30 +327,31 @@ def _seed_sequence_words(seeds) -> np.ndarray:
     return words[0::2] | words[1::2] << np.uint64(32)  # little-endian word pairs
 
 
-def stream_generators(seeds):
-    """Yield a Generator in the start state of numpy's PCG64 seeded with each seed in turn.
+class _StreamWords(ISeedSequence):
+    """One stream's ``SeedSequence`` words, from which ``np.random.PCG64`` seeds itself."""
 
-    The state setter behind ``stream_blocks``, its one caller in the package.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 reads the array's memory as 4 uint64 words; refuse any other request
+        if (n_words, np.dtype(dtype)) != (4, np.uint64):
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def stream_generators(seeds):
+    """Yield, for each seed in turn, its own Generator over ``np.random.PCG64(seed)``.
+
+    The streams behind ``stream_blocks``, its one caller in the package.
     ``seeds`` is a uint64 array (``derive_seeds``) or any iterable of
-    ints.  One Generator is reused, and one state dict, set before each
-    yield, so a caller takes all of a stream's draws before the next.
-    States are computed 256 seeds at a time, which keeps the state table
-    small.
+    ints.  The ``SeedSequence`` words come from ``_seed_sequence_words``,
+    256 seeds at a time, which keeps the word table small.
     """
     seeds = _seed_array(seeds)
-    gen = np.random.default_rng(0)
-    pcg = gen.bit_generator
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {"state": 0, "inc": 0}}
-    lcg = state["state"]
     for lo in range(0, len(seeds), 256):
-        words = _seed_sequence_words(seeds[lo : lo + 256]).tolist()
-        for hi_state, lo_state, hi_seq, lo_seq in zip(*words):
-            # PCG64's seeding: two LCG steps from state 0, initstate added after the first
-            inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
-            lcg["inc"] = inc
-            lcg["state"] = ((inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc) & _MASK128
-            pcg.state = state
-            yield gen
+        for words in _seed_sequence_words(seeds[lo : lo + 256]).T.copy():  # C-contiguous rows
+            yield np.random.Generator(np.random.PCG64(_StreamWords(words)))
 
 
 def stream_blocks(seeds, k: int):

@@ -198,6 +198,20 @@ def test_kernel_rejects_texts_that_are_not_integers():
         assert batched_ln_counts(texts.astype(dtype), (0, 1)).tobytes() == want.tobytes()
 
 
+def test_kernel_rejects_words_that_are_not_integers():
+    # (0.6, 1.9) would be truncated to (0, 1) and counted as that word
+    texts = np.array([[0, 1, 0, 1, 1], [1, 1, 0, 0, 1]], dtype=np.int8)
+    for word in ((0.6, 1.9), (0.0, 1.0), np.array([[0.5, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="integers"):
+            _float_counts(texts, word)
+    want = batched_ln_counts(texts, (0, 1))
+    assert batched_ln_counts(texts, np.array([0, 1], dtype=np.int8)).tobytes() == want.tobytes()
+    matrix = np.array([[0, 1], [0, 1]], dtype=np.int8)
+    assert batched_ln_counts(texts, matrix).tobytes() == want.tobytes()
+    z, shift = _float_counts(texts, np.zeros((2, 0)))  # empty words: one occurrence each
+    assert z.tolist() == [1.0, 1.0] and shift.tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("word", [(0, -1), (0, 128), (300,)])
 def test_kernel_rejects_word_letters_outside_int8_range(word):
     # -1 is the padding sentinel of a word matrix and never a letter

@@ -32,7 +32,7 @@ from subseqstats.moments import (
     tau_sq,
     tau_sq_exact,
     xi_bound,
-    _tau_sq_block,
+    _tau_sq_blocks,
 )
 from subseqstats.source_model import Alphabet, Pattern, SourceDist, batch_letters, derive_seed
 
@@ -315,8 +315,9 @@ def test_output_sums_add_left_to_right(p0, word, n):
     p = make_pattern(word, dist)
     total = 0.0
     for i_lo in range(1, n + 1, 500):
-        for v in _tau_sq_block(dist, p, n, i_lo, min(i_lo + 499, n)).tolist():
-            total += v
+        for block in _tau_sq_blocks(dist, p, n, i_lo, min(i_lo + 499, n)):
+            for v in block.tolist():
+                total += v
     assert sigma1_sq_normalized(dist, p, n).hex() == total.hex()
     ln_pw = 0.0
     for j in p.word:
@@ -325,7 +326,7 @@ def test_output_sums_add_left_to_right(p0, word, n):
 
 
 def _frozen_tau_sq_block(dist, pattern, n, i_lo, i_hi):
-    """_tau_sq_block with every S_a the last entry of a cumsum along its row."""
+    """_tau_sq_blocks' values with every S_a the last entry of a cumsum along its row."""
     rows = occupancy_rows(n, pattern.length, i_lo, i_hi)
     word = np.asarray(pattern.word)
     sums = np.zeros((rows.shape[0], pattern.alphabet.size))
@@ -350,7 +351,7 @@ def test_tau_sq_block_matches_frozen_cumsum_sums(data):
     i_lo = data.draw(st.integers(1, n), label="i_lo")
     height = data.draw(st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, n)), label="rows")
     i_hi = min(n, i_lo + height - 1)
-    got = _tau_sq_block(dist, pattern, n, i_lo, i_hi)
+    got = np.concatenate(list(_tau_sq_blocks(dist, pattern, n, i_lo, i_hi)))
     want = _frozen_tau_sq_block(dist, pattern, n, i_lo, i_hi)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -225,6 +225,16 @@ def test_random_pattern_spec_deterministic():
     assert a.word != c.word
 
 
+def test_pattern_spec_refuses_letters_that_are_not_integers():
+    dist = binary_dist(0.5)
+    with pytest.raises(TypeError):
+        PatternSpec.explicit((0.9, 1.9))
+    with pytest.raises(TypeError):
+        PatternSpec.constant(0.5, 3).resolve(dist)
+    assert PatternSpec.explicit(np.array([0, 1], dtype=np.int8)).word == (0, 1)
+    assert PatternSpec.constant(np.int64(1), 3).resolve(dist).word == (1, 1, 1)
+
+
 # ---- determinism and worker invariance -------------------------------------
 
 

@@ -89,6 +89,12 @@ def test_pattern_basics():
     assert Pattern.from_string(d, "bbb").is_constant
     with pytest.raises(ValueError):
         Pattern.from_string(d, "")
+    # letter indices are integers: a float is refused, not truncated
+    for word in ((0.7, 1.2), (0, 1.0), ("0", 1)):
+        with pytest.raises(TypeError):
+            Pattern.from_indices(d, word)
+    numpy_letters = Pattern.from_indices(d, np.array([0, 1, 0], dtype=np.int8))
+    assert numpy_letters == p and type(numpy_letters.word[0]) is int
 
 
 def test_pattern_log_pw_nonuniform():
@@ -237,6 +243,28 @@ def test_streams_of_one_batch_do_not_share_state():
             want.integers(0, 2**32, size=3, dtype=np.uint32),
         )
         assert np.array_equal(gen.random(64), want.random(64))
+
+
+def test_streams_of_one_call_are_independent():
+    # every stream is its own Generator: drawn from in turn, across the
+    # 256-seed chunks, each gives numpy's stream for its own seed
+    seeds = [derive_seed(5, t) for t in range(300)]
+    streams = list(stream_generators(seeds))
+    wants = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    for size in (1, 7, 3):
+        for gen, want in zip(streams, wants):
+            assert np.array_equal(gen.random(size), want.random(size))
+
+
+def test_stream_words_refuse_any_other_request():
+    # numpy's PCG64 reads 4 uint64 words from the array's memory; any
+    # other request means it seeds differently, so fail rather than misread
+    gen = next(stream_generators([7]))
+    words = gen.bit_generator.seed_seq
+    assert np.array_equal(words.generate_state(4, np.uint64), _seed_sequence_words([7])[:, 0])
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64)):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            words.generate_state(n_words, dtype)
 
 
 def test_stream_seeds_outside_64_bits_rejected():
