@@ -10,13 +10,16 @@ letter count.
 
 Every float count, batched, scalar (a batch of one) or deletion-channel
 (one word per row), runs one kernel, ``_float_counts``.  Its state is
-time-major, (m + 1, batch), and each text position is one vector update
-``state[a:b+1] += state[a-1:b] * hit[t, a-1:b]`` over its live band of
-slots [a, b] (see _recurrence), with ``hit`` a bool buffer filled per
-block of _BLOCK positions, over the block's union band, from a transposed
-copy of that block only.  The band drops the slots still at 0.0 and, in
-a tile whose counts cannot pass _RESCALE_LIMIT, the slots that can no
-longer reach a row's end; such a tile also skips the max check.
+time-major, (m + 1, batch), and each text position writes its float hit,
+``letters[t] == cols[a-1:b]``, into the product buffer, multiplies it by
+``state[a-1:b]`` and adds it to the live band of slots ``state[a:b+1]``
+(see _recurrence); the letters come from a transposed copy of one block
+of _BLOCK positions.  The band drops the slots still at 0.0 and, in a
+tile whose counts cannot pass _RESCALE_LIMIT, the slots that can no
+longer reach a row's end; such a tile also skips the max check.  Where
+the words fill most of a long text, as deletion-channel outputs do, a
+backward greedy match of each word against its text (_greedy_floor)
+cuts the band to the slots that can still reach a row's end.
 
 In such a tile, when every row's word starts with the same run c^k,
 k >= 2, and no row's tail w_{k+1..m} holds c, a position that reads c
@@ -251,19 +254,70 @@ def _step_index(texts: np.ndarray, c: int, d: int | None):
     return index, steps, only_d
 
 
+def _greedy_floor(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray) -> list:
+    """Per text position t, the least slot that some row can still carry to its end.
+
+    Row r's slot j can reach slot e_r after position t only if w_{j+1..e_r}
+    is a subsequence of the row's letters after t.  The least such j is
+    the pointer of a backward greedy match of the word against its text,
+    taken before position t (Flajolet, Szpankowski and Vallee, 2006): n
+    steps of a gather, a compare and a subtract on (batch,) vectors.
+    Returns the minimum over rows, one int per position.
+    """
+    (batch, n), m = texts.shape, len(cols)
+    # row-major words behind a -1 column that no letter matches, so a
+    # pointer that reaches slot 0 stays there
+    table = np.full((batch, m + 1), -1, dtype=np.int8)
+    table[:, 1:] = cols.T
+    flat, base = table.ravel(), np.arange(batch) * (m + 1)
+    ptr = base + ends
+    at = np.empty((n, batch), dtype=np.intp)
+    letters = np.ascontiguousarray(texts.T)
+    for t in range(n - 1, -1, -1):
+        at[t] = ptr
+        ptr -= flat[ptr] == letters[t]
+    at -= base
+    return at.min(axis=1).tolist()
+
+
 def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     """One tile of rows of _float_counts, on buffers sized for that tile.
 
     A tile that cannot rescale (_may_rescale), whose words all start with
     the same run c^k, k >= 2, at most e_min - 1 (e_min the tile's least
     row end), and whose tails w_{k+1..m} hold no c, runs _step_loop.
-    Every other tile runs one vector update per text position.  Position
-    t (0-based) updates only the live band of slots [a, b], with
-    b = min(m, t + 1): every slot above b still holds an exact 0.0.  a = 1
-    when a row of the tile may rescale.  Otherwise a = max(1, e_min -
-    (n - 1 - t)), and the max check is dropped: a slot below
-    e_min - (n - 1 - t) can no longer reach any row's end and feeds only
-    other such slots.
+    Every other tile runs one vector update per text position t
+    (0-based): the float hit of its letters against the words, written
+    into the product buffer, times the slots below, added to the live
+    band of slots [a, b].  The products have the bits of the bool hit
+    they replace: 1.0 * y == y and 0.0 * y == +0.0 for finite y >= 0.
+
+    b = min(m, top + 1), top a bound on the highest slot that is not 0.0
+    in any row before position t: a slot above b reads 0.0 only.  By
+    default top = t, a = 1 when a row of the tile may rescale, and
+    otherwise a = max(1, e_min - (n - 1 - t)) with no max check: a slot
+    below can no longer reach any row's end and feeds only other such
+    slots.
+
+    A tile that cannot rescale, with 2 * e_min > n and n >= 128, takes
+    the greedy band.  a is _greedy_floor's slot at t, the least over rows
+    of q_r(t), the least slot from which the rest of row r's word still
+    embeds in its letters after t.  top is counted after each block: the
+    slots that are not 0.0 in some row form a prefix, which grows by at
+    most one slot a position.  Row r's slots from q_r(t) up keep their
+    exact values: at a hit, w_j is matched at t, so q_r(t - 1) <= j - 1
+    and slot j - 1 was in the band at every earlier position.  A slot a
+    row skipped is read otherwise only with hit 0, a product of +0.0, or
+    into a slot that cannot reach the row's end.  On deletion-channel
+    words at d = 0.3, n = 200, over 400 rows, the greedy band is about
+    half the default one, 19% of the full update.
+
+    The gate, measured on deletion-channel tiles: the backward pass costs
+    about 4n numpy calls.  A 400-row tile broke even at n = 128 and took
+    0.94x at n = 160; a full 640-row tile took 0.94x at n = 96 and 0.88x
+    at n = 128.  At n = 200 the band paid above 2 e_min / n of about 0.75
+    (400 rows) or 0.45 (4096 rows).  On short words it loses: 2.2-2.4x on
+    `aba` at n = 2000, 1.6x on a 12-letter word at n = 12000.
     """
     (batch, n), m = texts.shape, len(cols)
     rescales = _may_rescale(n, m)
@@ -279,26 +333,33 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     state = np.zeros((m + 1, batch))
     state[0] = 1.0
     shift = np.zeros(batch)
-    tmp = np.empty((m, batch))
-    hit = np.empty((_BLOCK, m, batch), dtype=bool)
+    prod = np.empty((m, batch))
     # views of the full band [1, m], the band of most positions, made once
-    below, band, hits = state[:m], state[1:], list(hit)
-    # the band of position t starts at a = max(1, t + skip)
-    skip = -n if rescales else e_min + 1 - n
+    below, band = state[:m], state[1:]
+    greedy = not rescales and 2 * e_min > n and n >= 128
+    if greedy:
+        floor = _greedy_floor(texts, cols, ends)
+    else:
+        floor = range(-n, 0) if rescales else range(e_min + 1 - n, e_min + 1)
+    top = 0
     for lo in range(0, n, _BLOCK):
         block = np.ascontiguousarray(texts[:, lo : lo + _BLOCK].T)
-        size = len(block)
-        a, b = max(1, lo + skip), min(m, lo + size)
-        np.equal(block[:, None, :], cols[a - 1 : b], out=hit[:size, a - 1 : b])
-        for t in range(size):
-            a, b = max(1, lo + t + skip), min(m, lo + t + 1)
+        for t, letters in enumerate(block):
+            a, b = max(1, floor[lo + t]), min(m, top + t + 1)
             if a == 1 and b == m:
-                np.multiply(below, hits[t], out=tmp)
-                band += tmp
+                np.equal(letters, cols, out=prod)
+                prod *= below
+                band += prod
             else:
-                np.multiply(state[a - 1 : b], hit[t, a - 1 : b], out=tmp[a - 1 : b])
-                state[a : b + 1] += tmp[a - 1 : b]
-        if rescales and size == _BLOCK:
+                hit = prod[a - 1 : b]
+                np.equal(letters, cols[a - 1 : b], out=hit)
+                hit *= state[a - 1 : b]
+                state[a : b + 1] += hit
+        if greedy:
+            top += np.count_nonzero(state[top + 1 : top + len(block) + 1].any(axis=1))
+        else:
+            top += len(block)
+        if rescales and len(block) == _BLOCK:
             hot = state.max(axis=0) > _RESCALE_LIMIT
             if hot.any():
                 state[:, hot] *= _RESCALE_FACTOR
@@ -314,14 +375,17 @@ def _step_loop(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray, k: int):
     only through its other positions, with slot k set to the step's
     _lead_column entry (_step_index); state row i holds slot k + i.  A
     row with fewer steps starts later, and its state column stays +0.0
-    until then (0.0 + 0.0 * hit); every row ends on the last step and is
+    until then (0.0 + hit * 0.0); every row ends on the last step and is
     read off after it.  Every step runs the full band [k + 1, m], the
     full-width update of those slots, whose bits the live band keeps at
     every row's end.  When every tail letter is one d (-1 padding aside)
     and every such position reads d, hit is 1 in each slot up to a row's
     end, and a step is ``np.copyto(prod, below); band += prod``, the same
-    IEEE add as x + y * 1.0, with no hit mask; the slots past a row's end,
-    which are never read, take it too.  Other tails multiply by hit.
+    IEEE add as x + y * 1.0, with no hit; the slots past a row's end,
+    which are never read, take it too.  Other tails write a float hit
+    into the product buffer and multiply it by the slots below, as the
+    position loop does; a block's letters are one np.take on the
+    flattened tile.
     """
     (batch, n), m = texts.shape, len(cols)
     c, tail = int(cols[0, 0]), cols[k:]
@@ -333,26 +397,27 @@ def _step_loop(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray, k: int):
     one_letter = ((tail == d) | (tail < 0)).all()
     index, steps, only_d = _step_index(texts, c, d if one_letter else None)
     if not only_d:
-        hit = np.empty((_BLOCK, m - k, batch), dtype=bool)
-        rows, first = np.arange(batch), len(index) - steps
+        flat, letters = texts.ravel(), np.empty((_BLOCK, batch), dtype=texts.dtype)
+        # at tile step i row r reads flat[r * n + pos], pos = i - first_r + index[i, r],
+        # first_r = len(index) - steps[r] its first step
+        base = np.arange(batch) * n - (len(index) - steps)
     for lo in range(0, len(index), _BLOCK):
         block = index[lo : lo + _BLOCK]
         size = len(block)
         np.take(column, block, out=lead[:size], mode="clip")
         if not only_d:
-            # a row's own step is the tile's less its first; a step before
-            # its first reads a negative position, a letter of the same row,
-            # whose hit cannot matter: that row's column is all zeros
-            at = np.arange(lo, lo + size)[:, None] - first
+            # a step before a row's first reads a letter before the row's
+            # own, whose hit cannot matter: that row's column is all zeros
+            at = np.arange(lo, lo + size)[:, None] + base
             at += block  # in place: one fresh (size, batch) array fewer
-            letters = texts[rows, at]
-            np.equal(letters[:, None, :], tail, out=hit[:size])
+            np.take(flat, at, out=letters[:size], mode="clip")
         for t in range(size):
             state[0] = lead[t]
             if only_d:
                 np.copyto(prod, below)
             else:
-                np.multiply(below, hit[t], out=prod)
+                np.equal(letters[t], tail, out=prod)
+                prod *= below
             band += prod
     return state[ends - k, np.arange(batch)], np.zeros(batch)
 

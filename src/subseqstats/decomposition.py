@@ -75,6 +75,16 @@ def _phi_table(dist: SourceDist, text: Text) -> list[list[Fraction]]:
     return table
 
 
+def _check_enumeration(n: int, m: int, ell: int) -> None:
+    """Refuse a level whose C(n, ell) * C(m, ell) pairs of sets exceed ENUM_LIMIT."""
+    work = math.comb(n, ell) * math.comb(m, ell)
+    if work > ENUM_LIMIT:
+        raise ValueError(
+            f"C({n}, {ell}) * C({m}, {ell}) = {work} exceeds the enumeration "
+            f"limit of {ENUM_LIMIT}"
+        )
+
+
 def v_level(text: Text, dist: SourceDist, pattern: Pattern, ell: int) -> Fraction:
     """Level-ell projection V_ell of the normalized count, exactly rational."""
     if pattern.alphabet != dist.alphabet:
@@ -84,12 +94,7 @@ def v_level(text: Text, dist: SourceDist, pattern: Pattern, ell: int) -> Fractio
         raise ValueError("level must lie in [0, pattern length]")
     if ell == 0:
         return Fraction(math.comb(n, m))
-    work = math.comb(n, ell) * math.comb(m, ell)
-    if work > ENUM_LIMIT:
-        raise ValueError(
-            f"C({n}, {ell}) * C({m}, {ell}) = {work} exceeds the enumeration "
-            f"limit of {ENUM_LIMIT}"
-        )
+    _check_enumeration(n, m, ell)
     table = _phi_table(dist, text)
     word = pattern.word
     total = Fraction(0)
@@ -177,12 +182,7 @@ def identity_checks(n: int, m: int, ell: int) -> IdentityCheckReport:
     """Verify the two marginal-sum identities by direct enumeration."""
     if not (0 <= ell <= m <= n):
         raise ValueError("need 0 <= ell <= m <= n")
-    work = math.comb(n, ell) * math.comb(m, ell)
-    if work > ENUM_LIMIT:
-        raise ValueError(
-            f"C({n}, {ell}) * C({m}, {ell}) = {work} exceeds the enumeration "
-            f"limit of {ENUM_LIMIT}"
-        )
+    _check_enumeration(n, m, ell)
     pos_target = math.comb(n, m)
     slot_target = math.comb(n - ell, m - ell)
     slot_sets = list(combinations(range(1, m + 1), ell))

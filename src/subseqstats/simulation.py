@@ -287,6 +287,7 @@ def _trial_spans(span, jobs, workers: int):
     spans keep running.  Spans join in order, so the output does not
     depend on ``workers``.  Close the generator to shut its pool down.
     """
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     spans = [

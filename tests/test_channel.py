@@ -236,6 +236,13 @@ def test_mc_rejects_master_seeds_outside_64_bits():
             mc_mutual_information(cfg_for(0.5, 6, 0.5), 10, seed)
 
 
+@pytest.mark.parametrize("trials", [100, BATCH_SIZE + 1])
+def test_mc_rejects_a_fractional_worker_count(trials):
+    # on one span and on two: 1.5 is not a worker count
+    with pytest.raises(TypeError):
+        mc_mutual_information(cfg_for(0.5, 6, 0.5), trials, 1, workers=1.5)
+
+
 def test_mc_validation():
     cfg = cfg_for(0.5, 6, 0.5)
     with pytest.raises(ValueError):

@@ -162,10 +162,12 @@ def test_cli_stdout_digest(name, capsys):
 
 
 # name -> ((probs, n, d), trials, master seed, mi.hex(), stderr.hex()); at n=3,
-# d=0.9 most outputs are empty, and n=200, d=0.3 is the benchmark's channel shape
+# d=0.9 most outputs are empty, n=200, d=0.3 is the benchmark's channel shape,
+# and n=1000 runs tiles of 88 rows on the kernel's greedy band
 CHANNEL_MC_HEX = {
     "empty_outputs": (((0.3, 0.7), 3, 0.9), 500, 7, "0x1.bbde5e6559050p-5", "0x1.885379be5149ep-7"),
     "n200_d03": (((0.5, 0.5), 200, 0.3), 400, 23, "0x1.affd2350354cep+4", "0x1.3bd5374082e51p-2"),
+    "n1000_d03": (((0.5, 0.5), 1000, 0.3), 400, 29, "0x1.00bd553efd6b4p+7", "0x1.704e689b57666p-1"),
     # 2 * 4096 + 17 trials: three spans whose densities join into one sum
     "three_spans": (((0.7, 0.3), 24, 0.3), 8209, 2**64 - 1, "0x1.139893edd6e8ap+2", "0x1.a70993e1abeb8p-6"),
 }

@@ -4,9 +4,10 @@ The kernel must track the exact big-integer count, and a row's bits must
 not depend on whether its word is shared or given per row, on extra
 padding columns, or on which other rows share its batch.  A frozen copy
 of the full-width tile kernel, which updates every slot at every
-position, pins the bits of the live-band kernel and of the tiles that
-skip the positions of their run letter and read its slots from the
-leading-run column.
+position, pins the bits of the live-band kernel, of its greedy band on
+words that fill most of their text, and of the tiles that skip the
+positions of their run letter and read its slots from the leading-run
+column.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subseqstats import counting
+from subseqstats.channel import ChannelConfig, mc_mutual_information
 from subseqstats.counting import (
     _BLOCK,
     _RESCALE_FACTOR,
@@ -420,3 +422,84 @@ def test_only_tiles_with_a_run_letter_free_tail_compact(monkeypatch):
     for word in [(0, 1, 0), *run_letter_tails, outputs, (0,) * 600 + (1,) * 2]:
         _assert_matches_frozen(texts, word)
     assert calls == [] and built == []
+
+
+def _spy_greedy_floor(mp) -> list:
+    """Record (rows, n) of every tile that takes the greedy band."""
+    calls = []
+    greedy_floor = counting._greedy_floor
+
+    def spy(texts, cols, ends):
+        calls.append(texts.shape)
+        return greedy_floor(texts, cols, ends)
+
+    mp.setattr(counting, "_greedy_floor", spy)
+    return calls
+
+
+@st.composite
+def band_cases(draw):
+    """(texts, word, tile cells, whether every tile takes the greedy band).
+
+    n sits on both sides of the gate (n >= 128) and of a multiple of
+    _BLOCK.  Each row's word is its text less a random set of fewer than
+    half its letters, a random word longer than half the text (most are
+    not subsequences of it, so their count is 0), or the text itself;
+    one shared word, or some empty words, may replace them.
+    """
+    k = draw(st.integers(2, 3), label="letters")
+    n = _BLOCK * draw(st.integers(6, 16), label="blocks") + draw(st.sampled_from((-1, 0, 1)), label="offset")
+    rows = draw(st.integers(1, 8), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    texts = rng.integers(0, k, size=(rows, n)).astype(np.int8)
+    words = []
+    for row in texts:
+        kind = draw(st.sampled_from(("deletions", "random", "text")), label="word")
+        if kind == "deletions":
+            keep = np.ones(n, dtype=bool)
+            keep[rng.choice(n, int(rng.integers(0, (n + 1) // 2)), replace=False)] = False
+            words.append(tuple(row[keep]))
+        elif kind == "random":
+            words.append(tuple(rng.integers(0, k, size=int(rng.integers(n // 2 + 1, n + 1)))))
+        else:
+            words.append(tuple(row))
+    empty = draw(st.booleans(), label="empty words")
+    if empty:
+        for row in rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False):
+            words[row] = ()
+    word = words[0] if not empty and draw(st.booleans(), label="one shared word") else _matrix(words)
+    cells = draw(st.one_of(st.just(1), st.integers(1, 1500), st.just(counting._TILE_CELLS)), label="tile cells")
+    return texts, word, cells, not empty and n >= 128
+
+
+# words that fill most of the text take the greedy band from n = 128 on
+@settings(max_examples=200, deadline=None)
+@given(band_cases())
+def test_greedy_band_matches_frozen_full_width_kernel(case):
+    texts, word, cells, banded = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_greedy_floor(mp)
+        _assert_matches_frozen(texts, word, cells)
+    if banded:
+        assert calls and all(shape[1] == texts.shape[1] for shape in calls)
+    elif texts.shape[1] < 128:
+        assert calls == []
+
+
+def test_greedy_band_runs_only_where_it_pays(monkeypatch):
+    calls = _spy_greedy_floor(monkeypatch)
+    ab = SourceDist.uniform(Alphabet.from_string("ab"))
+    # the benchmark's channel round: 400 trials at n = 200, d = 0.3, one tile
+    mc_mutual_information(ChannelConfig(ab, 200, 0.3), 400, 23)
+    assert calls == [(400, 200)]
+    calls.clear()
+    for n in (12, 50):  # channel tiles too short to pay for the backward pass
+        mc_mutual_information(ChannelConfig(ab, n, 0.3), 400, 23)
+    rng = np.random.default_rng(14)
+    twelve = tuple(int(v) for v in rng.integers(0, 2, size=12))
+    for n, word in ((2000, (0, 1, 0)), (12000, twelve), (1200, (0,) * 600 + (1,) * 2)):
+        texts = (rng.random((8, n)) >= (0.95 if len(word) > 12 else 0.5)).astype(np.int8)
+        _float_counts(texts, word)
+    # a^600 b^2 at n = 1200 rescales, so no tile of it may skip slots
+    assert counting._may_rescale(1200, 602)
+    assert calls == []

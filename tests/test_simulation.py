@@ -290,6 +290,15 @@ def test_collect_rejects_fewer_than_one_worker():
             collect_ln_counts(cfg, pat, workers=workers)
 
 
+@pytest.mark.parametrize("trials", [10, 2 * simulation.BATCH_SIZE + 1])
+def test_run_experiments_rejects_a_fractional_worker_count(trials, recorded_pools):
+    # one span and three: 1.5 workers is refused before any span runs
+    cfg = make_cfg(n=20, trials=trials)
+    with pytest.raises(TypeError):
+        run_experiments((cfg,), workers=1.5)
+    assert recorded_pools == []
+
+
 # ---- normal route ----------------------------------------------------------
 
 
