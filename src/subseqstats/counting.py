@@ -21,21 +21,20 @@ the words fill most of a long text, as deletion-channel outputs do, a
 backward greedy match of each word against its text (_greedy_floor)
 cuts the band to the slots that can still reach a row's end.
 
-In such a tile, when every row's word starts with the same run c^k,
-k >= 2, and no row's tail w_{k+1..m} holds c, a position that reads c
-adds +0.0 to every tail slot, so each row steps only through its other
-positions, in order (_step_loop).  The run's slots depend only on how
-many c's a row has read (Flajolet, Szpankowski and Vallee, "Hidden word
-statistics", 2006): before the s-th such position, read at pos, the row
-has read pos - s c's, and slot k is entry pos - s of one column of k
-sequential cumsums (_lead_column).  _step_index gathers those entries
-step-major, (steps, rows), once per tile, with each row's steps at the
-end: a row with fewer steps starts later, on a state of zeros that its
-earlier steps leave at +0.0, and every row is read off after the last
-step.  When every tail is one letter d and the texts hold only c and d,
-every step has hit 1 in every tail slot and is a plain add, with no hit
-mask.  Every other tile, a tail that holds c included, runs the position
-loop from slot 1.  Every count keeps its bits.
+In such a tile, when every row's word is a block word c^k d^l with the
+same run c^k, k >= 2, and the same tail letter d != c, a position that
+does not read d adds +0.0 to every tail slot, so each row steps only
+through its d's, in order (_step_loop).  The run's slots depend only on
+how many c's a row has read (Flajolet, Szpankowski and Vallee, "Hidden
+word statistics", 2006): slot k is entry A of one column of k sequential
+cumsums (_lead_column), A the c's read before the step.  _step_index
+gathers those entries step-major, (steps, rows), once per tile, with
+each row's steps at the end: a row with fewer steps starts later, on a
+state of zeros that its earlier steps leave at +0.0, and every row is
+read off after the last step.  Every step has hit 1 in every tail slot
+and is a plain add, with no hit mask.  Every other tile, a tail of two
+letters or one that holds c included, runs the position loop from slot
+1.  Every count keeps its bits.
 """
 
 from __future__ import annotations
@@ -213,45 +212,53 @@ def _lead_column(n: int, k: int) -> np.ndarray:
     return column
 
 
-def _step_index(texts: np.ndarray, c: int, d: int | None):
-    """Step-major lead indices of each row's positions that do not read c.
+def _step_index(texts: np.ndarray, c: int, d: int) -> np.ndarray:
+    """Step-major lead indices of each row's positions that read d.
 
-    Returns (index, steps, only_d).  Rows end on the last step: the s-th
-    such position of row r, read at pos, is step len(index) - steps[r] + s,
-    and index there is pos - s, the c's read before it, so its entry in
-    _lead_column.  The steps before a row's first are 0, whose entry is
-    0.0.  index has the smallest unsigned dtype that holds n.  only_d tells
-    whether every such letter is d (False for d None).  Rows are read
-    _BLOCK at a time: one pass counts each row's positions, and a second
-    fills them from one np.flatnonzero per block, in which an entry's flat
-    index less its rank counts the c's before it, those of the rows above
-    included; the row's base takes those off.  So no index of the whole
-    tile is ever held in intp.
+    Rows end on the last step: the s-th such position of row r is step
+    len(index) - steps_r + s, steps_r the row's count of d's, and index
+    there is the count of c's read before it, so its entry in _lead_column.
+    The steps before a row's first are 0, whose entry is 0.0.  index has
+    the smallest unsigned dtype that holds n.  Rows are read _BLOCK at a
+    time: one pass counts each row's steps, and a second fills them from
+    one np.flatnonzero of the block's letters that are not c, in which an
+    entry's flat index less its rank counts the c's before it, those of
+    the rows above included; the row's base takes those off.  On texts of
+    c and d those entries are the steps, and the index is pos - s.  A
+    block with a third letter keeps only the entries that read d.  So no
+    index of the whole tile is ever held in intp.
     """
     rows, n = texts.shape
-    steps = np.empty(rows, dtype=np.intp)
-    only_d = d is not None
+    steps, not_c = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
     for lo in range(0, rows, _BLOCK):
-        part = texts[lo : lo + _BLOCK]
+        part, others = texts[lo : lo + _BLOCK], not_c[lo : lo + _BLOCK]
         # a uint8 row sum, at about half the time of np.count_nonzero(..., axis=1)
-        steps[lo : lo + _BLOCK] = (part != c).view(np.uint8).sum(axis=1, dtype=np.int32)
-        only_d = only_d and np.count_nonzero(part == d) == steps[lo : lo + _BLOCK].sum()
+        others[:] = (part != c).view(np.uint8).sum(axis=1, dtype=np.int32)
+        is_d = part == d
+        if np.count_nonzero(is_d) == others.sum():
+            steps[lo : lo + _BLOCK] = others
+        else:
+            steps[lo : lo + _BLOCK] = is_d.view(np.uint8).sum(axis=1, dtype=np.int32)
     index = np.zeros((int(steps.max(initial=0)), rows), dtype=np.min_scalar_type(n))
     # a block's rows are filled row-major and copied in transposed
     fill, upto = np.empty((_BLOCK, len(index)), dtype=index.dtype), np.arange(len(index))
     for lo in range(0, rows, _BLOCK):
         part = texts[lo : lo + _BLOCK]
         flat = np.flatnonzero(part != c)
-        counts = steps[lo : lo + len(part)]
+        counts, others = steps[lo : lo + len(part)], not_c[lo : lo + len(part)]
+        # a third letter leaves fewer steps than positions that are not c
+        letters = part.ravel()[flat] if len(flat) != counts.sum() else None
         # the c's of the rows above, in this block
-        base = np.arange(len(part)) * n - (np.cumsum(counts) - counts)
+        base = np.arange(len(part)) * n - (np.cumsum(others) - others)
+        flat -= np.arange(len(flat))
+        flat -= np.repeat(base, others)
+        if letters is not None:
+            flat = np.compress(letters == d, flat)
         rect = fill[: len(part)]
         rect.fill(0)
-        flat -= np.arange(len(flat))
-        flat -= np.repeat(base, counts)
         rect[upto >= len(index) - counts[:, None]] = flat
         index[:, lo : lo + len(part)] = rect.T
-    return index, steps, only_d
+    return index
 
 
 def _greedy_floor(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray) -> list:
@@ -285,7 +292,8 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
 
     A tile that cannot rescale (_may_rescale), whose words all start with
     the same run c^k, k >= 2, at most e_min - 1 (e_min the tile's least
-    row end), and whose tails w_{k+1..m} hold no c, runs _step_loop.
+    row end), and whose tails w_{k+1..m} are all one letter d != c, runs
+    _step_loop.
     Every other tile runs one vector update per text position t
     (0-based): the float hit of its letters against the words, written
     into the product buffer, times the slots below, added to the live
@@ -328,8 +336,11 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
     k = 0
     while not rescales and k < e_min - 1 and (cols[k] == cols[0, 0]).all():
         k += 1
-    if k >= 2 and not (cols[k:] == cols[0, 0]).any():
-        return _step_loop(texts, cols, ends, k)
+    if k >= 2:
+        # row 0 holds a tail letter, since k < e_min
+        tail, d = cols[k:], cols[k, 0]
+        if d != cols[0, 0] and ((tail == d) | (tail < 0)).all():
+            return _step_loop(texts, cols, ends, k)
     state = np.zeros((m + 1, batch))
     state[0] = 1.0
     shift = np.zeros(batch)
@@ -368,56 +379,32 @@ def _recurrence(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray):
 
 
 def _step_loop(texts: np.ndarray, cols: np.ndarray, ends: np.ndarray, k: int):
-    """One tile whose words share the run c^k, k >= 2, and whose tails hold no c.
+    """One tile whose words are c^k d^l, k >= 2, with d != c and l >= 1 per row.
 
-    A position that reads c has hit = 0 in every slot of [k + 1, m]: its
-    update adds +0.0 to finite values and changes no bit.  So a row steps
-    only through its other positions, with slot k set to the step's
-    _lead_column entry (_step_index); state row i holds slot k + i.  A
-    row with fewer steps starts later, and its state column stays +0.0
-    until then (0.0 + hit * 0.0); every row ends on the last step and is
-    read off after it.  Every step runs the full band [k + 1, m], the
-    full-width update of those slots, whose bits the live band keeps at
-    every row's end.  When every tail letter is one d (-1 padding aside)
-    and every such position reads d, hit is 1 in each slot up to a row's
-    end, and a step is ``np.copyto(prod, below); band += prod``, the same
-    IEEE add as x + y * 1.0, with no hit; the slots past a row's end,
-    which are never read, take it too.  Other tails write a float hit
-    into the product buffer and multiply it by the slots below, as the
-    position loop does; a block's letters are one np.take on the
-    flattened tile.
+    A position that reads c, or a letter that is neither c nor d, has hit
+    = 0 in every slot of [k + 1, m]: its update adds +0.0 to finite values
+    and changes no bit.  So a row steps only through its positions that
+    read d, with slot k set to the step's _lead_column entry (_step_index);
+    state row i holds slot k + i.  A row with fewer steps starts later,
+    and its state column stays +0.0 until then (0.0 + 0.0); every row ends
+    on the last step and is read off after it.  Every step runs the full
+    band [k + 1, m], the full-width update of those slots, whose bits the
+    live band keeps at every row's end.  At a d, hit is 1 in each slot up
+    to a row's end, so a step is ``np.copyto(prod, below); band += prod``,
+    the same IEEE add as x + y * 1.0, with no hit; the slots past a row's
+    end, which are never read, take it too.
     """
     (batch, n), m = texts.shape, len(cols)
-    c, tail = int(cols[0, 0]), cols[k:]
     state = np.zeros((m - k + 1, batch))
     below, band, prod = state[:-1], state[1:], np.empty((m - k, batch))
     column, lead = _lead_column(n, k), np.empty((_BLOCK, batch))
-    # every row's slot k + 1 holds a letter, since k < e_min
-    d = int(tail[0, 0])
-    one_letter = ((tail == d) | (tail < 0)).all()
-    index, steps, only_d = _step_index(texts, c, d if one_letter else None)
-    if not only_d:
-        flat, letters = texts.ravel(), np.empty((_BLOCK, batch), dtype=texts.dtype)
-        # at tile step i row r reads flat[r * n + pos], pos = i - first_r + index[i, r],
-        # first_r = len(index) - steps[r] its first step
-        base = np.arange(batch) * n - (len(index) - steps)
+    index = _step_index(texts, int(cols[0, 0]), int(cols[k, 0]))
     for lo in range(0, len(index), _BLOCK):
         block = index[lo : lo + _BLOCK]
-        size = len(block)
-        np.take(column, block, out=lead[:size], mode="clip")
-        if not only_d:
-            # a step before a row's first reads a letter before the row's
-            # own, whose hit cannot matter: that row's column is all zeros
-            at = np.arange(lo, lo + size)[:, None] + base
-            at += block  # in place: one fresh (size, batch) array fewer
-            np.take(flat, at, out=letters[:size], mode="clip")
-        for t in range(size):
+        np.take(column, block, out=lead[: len(block)], mode="clip")
+        for t in range(len(block)):
             state[0] = lead[t]
-            if only_d:
-                np.copyto(prod, below)
-            else:
-                np.equal(letters[t], tail, out=prod)
-                prod *= below
+            np.copyto(prod, below)
             band += prod
     return state[ends - k, np.arange(batch)], np.zeros(batch)
 

@@ -137,6 +137,8 @@ class DecompositionReport:
 
 def decompose(text: Text, dist: SourceDist, pattern: Pattern) -> DecompositionReport:
     """Split Z* into its levels and report the telescoping residual."""
+    if text.length < pattern.length:
+        raise ValueError("text length n must be at least the pattern length")
     z = count_subsequences(text, pattern, mode="exact").exact
     probs = dist.rational_probs()
     pw = Fraction(1)

@@ -231,8 +231,12 @@ def preset_tllow_alternating(n_max=100):
     For the alternating pattern over a uniform binary source,
     tau_i^2 = (sum_j (-1)^(j-1) c(i, j))^2 exactly, so the whole sweep
     runs in integer arithmetic; the gate compares m * sigma_1^2 against
-    10 * n * C(n-1, m-1)^2 with no rounding anywhere.
+    10 * n * C(n-1, m-1)^2 with no rounding anywhere.  ``n_max`` below 2,
+    which leaves no pair to check, raises ValueError.
     """
+    n_max = operator.index(n_max)
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     violations = 0
     checked = 0
     worst = 0.0
@@ -331,8 +335,9 @@ def run_preset(name: str, out_dir=None, workers: int = 1, **overrides) -> Preset
     processes: one pool per call, shared by all seeds (see
     ``simulation.run_experiments``); its output bytes are independent of
     ``workers``.  The other presets run in this process.  ``workers``
-    below 1 raises ValueError.
+    below 1 raises ValueError, and one that is not an integer TypeError.
     """
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if name not in PRESETS:

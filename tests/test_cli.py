@@ -69,6 +69,12 @@ def test_decompose_echoes_rationalization(capsys):
     assert doc["rationalized_probs"] == ["1/2", "1/2"]
 
 
+def test_decompose_rejects_a_text_shorter_than_the_pattern(capsys, caplog):
+    code, doc = run_cli(capsys, ["decompose", "--text", "ab", "--pattern", "aba", "--probs", "0.5,0.5"])
+    assert code == 2 and doc is None
+    assert "text length n must be at least the pattern length" in caplog.text
+
+
 def test_simulate_writes_outputs_and_is_deterministic(tmp_path, capsys):
     argv = [
         "simulate",

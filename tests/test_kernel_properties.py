@@ -5,9 +5,9 @@ not depend on whether its word is shared or given per row, on extra
 padding columns, or on which other rows share its batch.  A frozen copy
 of the full-width tile kernel, which updates every slot at every
 position, pins the bits of the live-band kernel, of its greedy band on
-words that fill most of their text, and of the tiles that skip the
-positions of their run letter and read its slots from the leading-run
-column.
+words that fill most of their text, and of the block-word tiles that
+step only through the positions of their tail letter and read their run's
+slots from the leading-run column.
 """
 
 import math
@@ -200,13 +200,15 @@ def oracle_cases(draw, kinds=KINDS):
             for size in sizes
         ]
         word = words[0] if draw(st.booleans(), label="one shared word") else _matrix(words)
-    elif kind == "tail":  # c^run and tails of 1 to 5 letters without c: the compacted path
+    elif kind == "tail":  # c^run and tails of 1 to 5 letters without c: one tail letter steps
         c, run = int(rng.integers(0, k)), draw(st.integers(2, 8), label="run")
         # mostly c, so that rows take few steps and differ in their count,
         # and some rows of c only
         texts[rng.random((rows, n)) < draw(st.sampled_from((0.0, 0.7, 0.95)), label="p(c)")] = c
         texts[rng.random(rows) < draw(st.sampled_from((0.0, 0.3)), label="c rows")] = c
         others = [v for v in range(k) if v != c]
+        if draw(st.booleans(), label="one tail letter"):  # over k >= 3 letters, a third text letter
+            others = others[-1:]
         words = [(c,) * run + tuple(int(v) for v in rng.choice(others, size=rng.integers(1, 6))) for _ in range(rows)]
         word = words[0] if draw(st.booleans(), label="one shared word") else _matrix(words)
     elif kind == "outputs":  # deletion-channel words: ends from 0 up to n
@@ -230,35 +232,56 @@ def test_kernel_matches_frozen_full_width_kernel(case):
 
 
 def _spy_step_index(mp) -> list:
-    """Record (rows, n, c, only_d) of every tile that runs on its compacted positions."""
+    """Record (rows, n, c, d) of every tile that runs on its compacted positions."""
     calls = []
     step_index = counting._step_index
 
     def spy(texts, c, d):
-        index, steps, only_d = step_index(texts, c, d)
-        calls.append((*texts.shape, c, only_d))
-        return index, steps, only_d
+        calls.append((*texts.shape, c, d))
+        return step_index(texts, c, d)
 
     mp.setattr(counting, "_step_index", spy)
     return calls
 
 
+def _spy_equal(mp) -> list:
+    """Record the shape of the first operand of every np.equal call."""
+    masks, equal = [], np.equal
+    mp.setattr(np, "equal", lambda *args, **kw: masks.append(np.shape(args[0])) or equal(*args, **kw))
+    return masks
+
+
+def _one_letter_tail_tiles(texts, word, cells) -> list:
+    """(rows, n, c, d) of each tile of a `tail` case whose tails are all one letter d."""
+    rows, n = texts.shape
+    words = np.broadcast_to(np.asarray(word, dtype=np.int8), (rows, np.shape(word)[-1]))
+    c = int(words[0, 0])
+    run = int(np.argmax(words[0] != c))  # the tails hold no c
+    width = max(1, cells // (words.shape[1] + 1))
+    tiles = []
+    for lo in range(0, rows, width):
+        letters = set(words[lo : lo + width, run:].ravel().tolist()) - {-1}
+        if len(letters) == 1:
+            tiles.append((len(words[lo : lo + width]), n, c, letters.pop()))
+    return tiles
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_cases(kinds=("tail",)))
 def test_compacted_tiles_match_frozen_full_width_kernel(case):
+    # a tile steps exactly when its tails are one letter
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_step_index(mp)
         _assert_matches_frozen(*case)
-    assert calls
+    assert calls == _one_letter_tail_tiles(*case)
 
 
-def _assert_compacts(texts, word, only_d, cells=counting._TILE_CELLS):
-    """Match the frozen kernel, with every tile on the compacted path and
-    its step body one-letter (only_d) or hit-masked."""
+def _assert_compacts(texts, word, cells=counting._TILE_CELLS):
+    """Match the frozen kernel, with every tile on the compacted path."""
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_step_index(mp)
         _assert_matches_frozen(texts, word, cells)
-    assert calls and all(call[3] == only_d for call in calls), calls
+    assert sum(call[0] for call in calls) == len(texts), calls
 
 
 def test_compacted_rows_with_no_step_and_with_a_step_at_every_position():
@@ -269,15 +292,16 @@ def test_compacted_rows_with_no_step_and_with_a_step_at_every_position():
     texts[0], texts[1] = 0, 1
     texts[2, 1:], texts[3, :-1] = 0, 1
     for word in ((0,) * 3 + (1,) * 2, (0,) * 5 + (1,) * 9):
-        _assert_compacts(texts, word, only_d=True)
-        _assert_compacts(texts, word, only_d=True, cells=len(word) + 1)  # one-row tiles
-    # over three letters the steps take the hit mask: row 0, all c, gathers
-    # only before its first step, at negative positions; row 1 reads no c
+        _assert_compacts(texts, word)
+        _assert_compacts(texts, word, cells=len(word) + 1)  # one-row tiles
+    # over three letters a row steps through its d's only: row 0, all c,
+    # takes no step; row 1 reads no c; row 2 reads only d and the third letter
     three = rng.integers(0, 3, size=(6, 300)).astype(np.int8)
-    three[0], three[1] = 0, rng.integers(1, 3, size=300)
-    for word in ((0,) * 3 + (1, 2), (0,) * 5 + (2, 1) * 4):
-        _assert_compacts(three, word, only_d=False)
-        _assert_compacts(three, word, only_d=False, cells=len(word) + 1)
+    three[0], three[1], three[2] = 0, rng.integers(1, 3, size=300), 1
+    three[2, 3::4] = 2
+    for word in ((0,) * 3 + (1,) * 2, (0,) * 5 + (2,) * 8):
+        _assert_compacts(three, word)
+        _assert_compacts(three, word, cells=len(word) + 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 17, 200])
@@ -286,7 +310,7 @@ def test_compacted_tile_in_which_no_row_takes_a_step(n):
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_step_index(mp)
         z, shift = _float_counts(texts, (0,) * 4 + (1,) * 3)
-    assert calls == [(5, n, 0, True)]
+    assert calls == [(5, n, 0, 1)]
     assert z.tobytes() == np.zeros(5).tobytes() and not shift.any()
     _assert_matches_frozen(texts, (0,) * 4 + (1,) * 3)
 
@@ -295,10 +319,10 @@ def test_compacted_tile_in_which_no_row_takes_a_step(n):
 def test_compacted_tiles_of_wider_and_unsigned_texts(dtype):
     rng = np.random.default_rng(9)
     binary = (rng.random((7, 400)) >= 0.6).astype(dtype)
-    _assert_compacts(binary, (0,) * 6 + (1,) * 6, only_d=True)
-    _assert_compacts(binary * 2 + 1, (1,) * 6 + (3,) * 4, only_d=True)
+    _assert_compacts(binary, (0,) * 6 + (1,) * 6)
+    _assert_compacts(binary * 2 + 1, (1,) * 6 + (3,) * 4)
     three = rng.integers(0, 3, size=(7, 400)).astype(dtype)
-    _assert_compacts(three, (2,) * 3 + (0, 1, 0), only_d=False)
+    _assert_compacts(three, (2,) * 3 + (0,) * 3)
 
 
 def test_compacted_per_row_block_words_with_different_tails():
@@ -306,20 +330,36 @@ def test_compacted_per_row_block_words_with_different_tails():
     rng = np.random.default_rng(10)
     texts = (rng.random((12, 500)) >= 0.75).astype(np.int8)
     words = _matrix([(0,) * 4 + (1,) * l for l in range(1, 13)])
-    _assert_compacts(texts, words, only_d=True)
-    _assert_compacts(texts, np.concatenate([words, np.full((12, 3), -1, np.int8)], axis=1), only_d=True)
+    _assert_compacts(texts, words)
+    _assert_compacts(texts, np.concatenate([words, np.full((12, 3), -1, np.int8)], axis=1))
     # tails out of order, in tiles of one and of three rows
     shuffled = _matrix([(0,) * 4 + (1,) * (1 + (5 * row) % 12) for row in range(12)])
     for cells in (counting._TILE_CELLS, 17, 51):
-        _assert_compacts(texts, shuffled, only_d=True, cells=cells)
+        _assert_compacts(texts, shuffled, cells=cells)
+    # over three letters the rows' step counts are their d counts
+    three = texts.copy()
+    three[rng.random(three.shape) < 0.1] = 2
+    for cells in (counting._TILE_CELLS, 17):
+        _assert_compacts(three, shuffled, cells=cells)
 
 
-def test_a_third_text_letter_under_a_one_letter_tail_takes_the_hit_branch():
+def test_a_third_text_letter_under_a_one_letter_tail_steps_with_no_hit_mask():
+    # a position that reads neither c nor d adds +0.0 to every slot, so a
+    # row steps through its d's only, and every step is a plain add
     rng = np.random.default_rng(12)
     texts = (rng.random((6, 400)) >= 0.7).astype(np.int8)
     texts[2, 5::37] = 2  # one row reads c, d and e
-    _assert_compacts(texts, (0,) * 5 + (1,) * 5, only_d=False)
-    _assert_compacts(texts[[0, 1, 3, 4, 5]], (0,) * 5 + (1,) * 5, only_d=True)
+    texts[3] = 2  # one row reads only e
+    texts[4, :30] = 2  # e before the row's first c and d
+    for word in ((0,) * 5 + (1,) * 5, _matrix([(0,) * 5 + (1,) * (1 + row) for row in range(6)])):
+        want = _frozen_float_counts(texts, word)
+        with pytest.MonkeyPatch.context() as mp:
+            masks, calls = _spy_equal(mp), _spy_step_index(mp)
+            z, shift = _float_counts(texts, word)
+        assert calls == [(6, 400, 0, 1)] and masks == []
+        assert z.tobytes() == want[0].tobytes() and shift.tobytes() == want[1].tobytes()
+        assert z[3] == 0.0
+    _assert_compacts(texts, (0,) * 5 + (1,) * 5, cells=11)  # one-row tiles
 
 
 def test_binary_block_word_steps_take_no_hit_mask(monkeypatch):
@@ -328,11 +368,10 @@ def test_binary_block_word_steps_take_no_hit_mask(monkeypatch):
     rng = np.random.default_rng(13)
     texts = (rng.random((64, 4000)) >= 0.7).astype(np.int8)
     want = _frozen_float_counts(texts, (0,) * 20 + (1,) * 20)
-    equal, masks = np.equal, []
-    monkeypatch.setattr(np, "equal", lambda *args, **kw: masks.append(args[0].shape) or equal(*args, **kw))
+    masks = _spy_equal(monkeypatch)
     calls = _spy_step_index(monkeypatch)
     z, shift = _float_counts(texts, (0,) * 20 + (1,) * 20)
-    assert calls == [(64, 4000, 0, True)] and masks == []
+    assert calls == [(64, 4000, 0, 1)] and masks == []
     assert z.tobytes() == want[0].tobytes() and shift.tobytes() == want[1].tobytes()
 
 
@@ -410,17 +449,27 @@ def test_only_tiles_with_a_run_letter_free_tail_compact(monkeypatch):
     rng = np.random.default_rng(5)
     texts = (rng.random((6, 1200)) >= 0.7).astype(np.int8)
     _assert_matches_frozen(texts, (0,) * 20 + (1,) * 20)
-    assert calls == [(6, 1200, 0, True)] and built == [(1200, 20)]
+    assert calls == [(6, 1200, 0, 1)] and built == [(1200, 20)]
     calls.clear()
     built.clear()
     # aba (k = 1), tails that hold the run letter (aaaba, aabab,
-    # aabbbbbbabba), channel outputs (no shared run), and a^600 b^2, whose
-    # tile may rescale: the position by position loop, with no lead column
+    # aabbbbbbabba), tails of two letters other than c (a^20 b^10 c^10,
+    # aabcb, and per-row tails b and c), channel outputs (no shared run),
+    # and a^600 b^2, whose tile may rescale: the position by position loop,
+    # with no lead column
+    three = rng.choice(3, size=(6, 1200), p=(0.6, 0.3, 0.1)).astype(np.int8)
     outputs = _matrix([tuple(row[rng.random(1200) >= 0.3]) for row in texts])
     assert counting._may_rescale(1200, 602)
     run_letter_tails = [(0, 0, 0, 1, 0), (0, 0, 1, 0, 1), (0, 0) + (1,) * 6 + (0, 1, 1, 0)]
+    two_letter_tails = [
+        (0,) * 20 + (1,) * 10 + (2,) * 10,
+        (0, 0, 1, 2, 1),
+        _matrix([(0, 0, 1 + row % 2) for row in range(6)]),
+    ]
     for word in [(0, 1, 0), *run_letter_tails, outputs, (0,) * 600 + (1,) * 2]:
         _assert_matches_frozen(texts, word)
+    for word in two_letter_tails:
+        _assert_matches_frozen(three, word)
     assert calls == [] and built == []
 
 

@@ -53,6 +53,22 @@ def test_run_preset_forks_one_pool_for_all_seeds(recorded_pools):
     assert recorded_pools == [(2, "fork")]
 
 
+@pytest.mark.parametrize("name", ["t2a_normal", "tllow_alternating"])
+def test_run_preset_rejects_a_fractional_worker_count(recorded_pools, name):
+    # a trial preset and a function preset alike, before any work
+    with pytest.raises(TypeError):
+        run_preset(name, workers=1.5)
+    assert recorded_pools == []
+
+
+@pytest.mark.parametrize("n_max", [1, 0, -3])
+def test_tllow_rejects_an_n_max_that_leaves_no_pair(n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        run_preset("tllow_alternating", n_max=n_max)
+    with pytest.raises(TypeError):
+        run_preset("tllow_alternating", n_max=n_max + 0.5)
+
+
 def test_summary_error_leaves_no_child(monkeypatch):
     summarize = simulation.summarize_normal
     calls = []
